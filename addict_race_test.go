@@ -8,6 +8,7 @@ import (
 	"addict"
 	"addict/internal/exp"
 	"addict/internal/sim"
+	"addict/internal/sweep"
 )
 
 // TestConcurrentScheduleDeterministic replays one trace set under every
@@ -98,24 +99,26 @@ func TestScheduleAllRequiresProfile(t *testing.T) {
 }
 
 // TestGenerateTracesShardedWorkerIndependent checks the public sharded
-// generator end to end.
+// generator end to end, for a TPC and a synthetic registry name.
 func TestGenerateTracesShardedWorkerIndependent(t *testing.T) {
 	ctx := context.Background()
-	gen := func(workers int) (*addict.TraceSet, error) {
-		e := addict.NewEngine(addict.WithSeed(11), addict.WithScale(0.05), addict.WithWorkers(workers))
-		return e.GenerateTraces(ctx, "TPC-B", 30)
-	}
-	ref, err := gen(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		s, err := gen(workers)
+	for _, name := range []string{"TPC-B", "synth:uniform-ro"} {
+		gen := func(workers int) (*addict.TraceSet, error) {
+			e := addict.NewEngine(addict.WithSeed(11), addict.WithScale(0.05), addict.WithWorkers(workers))
+			return e.GenerateTraces(ctx, name, 30)
+		}
+		ref, err := gen(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Digest() != ref.Digest() {
-			t.Errorf("sharded generation digest with %d workers differs from serial", workers)
+		for _, workers := range []int{2, 8} {
+			s, err := gen(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Digest() != ref.Digest() {
+				t.Errorf("%s: sharded generation digest with %d workers differs from serial", name, workers)
+			}
 		}
 	}
 	if _, err := addict.NewEngine().GenerateTraces(ctx, "nope", 10); err == nil {
@@ -128,7 +131,8 @@ func TestGenerateTracesShardedWorkerIndependent(t *testing.T) {
 // under `go test -race`.
 func TestConcurrentWorkbenchAndSchedule(t *testing.T) {
 	p := exp.Params{Seed: 5, Scale: 0.05, ProfileTraces: 50, EvalTraces: 50, StabilityTraces: 60, Machine: sim.Shallow()}
-	wb := exp.NewParallelWorkbench(p, 4)
+	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 4)
+	wb := exp.NewWorkbenchOn(context.Background(), p, sweep.NewWorkbench(arts, p.Machine))
 
 	w := addict.NewTPCE(7, 0.05)
 	profSet := addict.GenerateTraces(w, 50)

@@ -19,6 +19,7 @@ import (
 	"addict"
 	"addict/internal/exp"
 	"addict/internal/sched"
+	"addict/internal/sweep"
 )
 
 func benchParams() exp.Params {
@@ -35,7 +36,9 @@ var sharedBench *exp.Workbench
 func bench(b *testing.B) *exp.Workbench {
 	b.Helper()
 	if sharedBench == nil {
-		sharedBench = exp.NewWorkbench(benchParams())
+		p := benchParams()
+		arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 1)
+		sharedBench = exp.NewWorkbenchOn(context.Background(), p, sweep.NewWorkbench(arts, p.Machine))
 	}
 	return sharedBench
 }
@@ -175,7 +178,9 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkRunAllSerial(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		exp.RunAll(io.Discard, p)
+		if err := exp.RunAll(context.Background(), io.Discard, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -191,7 +196,11 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	p := benchParams()
 	workers := runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
-		exp.RunAllParallel(io.Discard, p, workers)
+		arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
+		swb := sweep.NewWorkbench(arts, p.Machine)
+		if err := exp.RunAllParallel(context.Background(), io.Discard, p, workers, swb); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

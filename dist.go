@@ -38,18 +38,16 @@ type DistConfig struct {
 	// coordinator (they share the session's store directory and worker
 	// bound). 0 means the grid waits entirely for remote workers.
 	LocalWorkers int
-	// Lease-protocol knobs; zero values select the internal/dist defaults
-	// (60s leases, batch 2, 3 retries, straggler re-dispatch at half a
-	// lease). See internal/dist.Options.
-	LeaseTimeout   time.Duration
-	LeaseBatch     int
-	MaxRetries     int
-	StragglerAfter time.Duration
-	// ShutdownLinger keeps the worker endpoint answering "done" after the
-	// merged report is complete, so remote workers polling at their own
-	// cadence exit cleanly instead of hitting a closed port (default 2s).
-	ShutdownLinger time.Duration
+	// LeaseTimeout is how long a worker holds a leased unit before it is
+	// requeued; zero selects the internal/dist default (60s). The other
+	// lease-protocol knobs keep their internal/dist defaults.
+	LeaseTimeout time.Duration
 }
+
+// shutdownLinger bounds how long the worker endpoint keeps answering
+// "done" after the merged report is complete, so remote workers polling
+// at their own cadence exit cleanly instead of hitting a closed port.
+const shutdownLinger = 2 * time.Second
 
 // SweepDistributed executes a sweep grid across processes: this session
 // becomes the coordinator — expanding the spec into stable unit IDs,
@@ -68,13 +66,10 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	if err != nil {
 		return DistSummary{}, err
 	}
-	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
-	c, err := dist.NewCoordinator(spec, dist.Options{
-		LeaseTimeout:   cfg.LeaseTimeout,
-		LeaseBatch:     cfg.LeaseBatch,
-		MaxRetries:     cfg.MaxRetries,
-		StragglerAfter: cfg.StragglerAfter,
-	})
+	if err := e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces); err != nil {
+		return DistSummary{}, err
+	}
+	c, err := dist.NewCoordinator(spec, dist.Options{LeaseTimeout: cfg.LeaseTimeout})
 	if err != nil {
 		return DistSummary{}, err
 	}
@@ -137,11 +132,7 @@ func (e *Engine) SweepDistributed(ctx context.Context, out io.Writer, spec Sweep
 	// asks), so workers polling on their own cadence exit 0 instead of
 	// dialing a closed port. Local workers drain through the same path.
 	wg.Wait()
-	linger := cfg.ShutdownLinger
-	if linger <= 0 {
-		linger = 2 * time.Second
-	}
-	for deadline := time.Now().Add(linger); time.Now().Before(deadline) && !c.AllReleased(); {
+	for deadline := time.Now().Add(shutdownLinger); time.Now().Before(deadline) && !c.AllReleased(); {
 		time.Sleep(20 * time.Millisecond)
 	}
 	srv.Close()

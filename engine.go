@@ -176,6 +176,12 @@ func (e *Engine) Workers() int { return e.workers }
 // Machine returns the session's simulated hardware.
 func (e *Engine) Machine() MachineConfig { return e.machine }
 
+// validBase rejects a session whose scale or trace windows are not
+// positive: no pipeline can produce a meaningful number from it.
+func (e *Engine) validBase() error {
+	return sweep.ValidateBase(e.scale, e.profileTraces, e.evalTraces)
+}
+
 // ExperimentParams returns the session parameters as an evaluation-harness
 // setup — what Experiments runs with.
 func (e *Engine) ExperimentParams() ExperimentParams {
@@ -243,7 +249,7 @@ func (e *Engine) ScheduleSet(ctx context.Context, s *TraceSet, opts Options) (ma
 func (e *Engine) eachMechanism(ctx context.Context, run func(mech Mechanism) (Result, error)) (map[Mechanism]Result, error) {
 	results := make([]Result, len(Mechanisms))
 	errs := make([]error, len(Mechanisms))
-	if err := pool.RunCtx(ctx, e.workers, len(Mechanisms), func(i int) {
+	if err := pool.Run(ctx, e.workers, len(Mechanisms), func(i int) {
 		results[i], errs[i] = run(Mechanisms[i])
 	}); err != nil {
 		return nil, err
@@ -263,6 +269,9 @@ func (e *Engine) eachMechanism(ctx context.Context, run func(mech Mechanism) (Re
 // count, uncached (each call generates afresh — use Traces for the
 // session's reusable evaluation window).
 func (e *Engine) GenerateTraces(ctx context.Context, workloadName string, n int) (*TraceSet, error) {
+	if err := e.validBase(); err != nil {
+		return nil, err
+	}
 	r, err := workload.Resolve(workloadName)
 	if err != nil {
 		return nil, err
@@ -274,7 +283,10 @@ func (e *Engine) GenerateTraces(ctx context.Context, workloadName string, n int)
 // same shard recipe as GenerateTraces (phase schedules follow the absolute
 // trace index, so multi-phase specs shard deterministically too).
 func (e *Engine) SynthTraces(ctx context.Context, spec SynthSpec, n int) (*TraceSet, error) {
-	return synth.GenerateSetShardedCtx(ctx, spec, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
+	if err := e.validBase(); err != nil {
+		return nil, err
+	}
+	return synth.GenerateSetSharded(ctx, spec, e.seed, e.scale, 0, n, workload.DefaultShardSize, e.workers)
 }
 
 // Sweep expands a declarative grid and executes it on the session workers,
@@ -289,9 +301,11 @@ func (e *Engine) Sweep(ctx context.Context, out io.Writer, spec SweepSpec, forma
 	if err != nil {
 		return err
 	}
-	e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces)
+	if err := e.inheritBase(&spec.Seed, &spec.Scale, &spec.ProfileTraces, &spec.EvalTraces); err != nil {
+		return err
+	}
 	arts := e.artifactsFor(spec.Seed, spec.Scale, spec.ProfileTraces, spec.EvalTraces)
-	return sweep.RunWith(ctx, spec, em, e.workers, arts)
+	return sweep.Run(ctx, spec, em, e.workers, arts)
 }
 
 // artifactsFor picks the artifact cache for a run with the given resolved
@@ -314,8 +328,10 @@ func (e *Engine) artifactsFor(seed int64, scale float64, profileTraces, evalTrac
 }
 
 // inheritBase fills zero-valued base parameters — the "zero means inherit
-// the session" convention Sweep and Bench share.
-func (e *Engine) inheritBase(seed *int64, scale *float64, profileTraces, evalTraces *int) {
+// the session" convention Sweep and Bench share — and validates the
+// result, so a session base no run can use is an error rather than a
+// silent fallback to the runners' own defaults.
+func (e *Engine) inheritBase(seed *int64, scale *float64, profileTraces, evalTraces *int) error {
 	if *seed == 0 {
 		*seed = e.seed
 	}
@@ -328,6 +344,7 @@ func (e *Engine) inheritBase(seed *int64, scale *float64, profileTraces, evalTra
 	if *evalTraces == 0 {
 		*evalTraces = e.evalTraces
 	}
+	return sweep.ValidateBase(*scale, *profileTraces, *evalTraces)
 }
 
 // Bench runs the replay-core benchmark harness (cells stay strictly serial
@@ -346,7 +363,9 @@ func (e *Engine) Bench(ctx context.Context, cfg BenchConfig) (*BenchReport, erro
 // distinguish callers.
 func (e *Engine) BenchProgress(ctx context.Context, cfg BenchConfig, progress io.Writer) (*BenchReport, error) {
 	resolved := cfg
-	e.inheritBase(&resolved.Seed, &resolved.Scale, &resolved.ProfileTraces, &resolved.EvalTraces)
+	if err := e.inheritBase(&resolved.Seed, &resolved.Scale, &resolved.ProfileTraces, &resolved.EvalTraces); err != nil {
+		return nil, err
+	}
 	if cfg.SeedSet {
 		// An explicit zero seed is a value, not "inherit": undo the
 		// zero-means-inherit resolution and keep it explicit downstream so
@@ -361,7 +380,7 @@ func (e *Engine) BenchProgress(ctx context.Context, cfg BenchConfig, progress io
 		resolved.Workers = e.workers
 	}
 	arts := e.artifactsFor(resolved.Seed, resolved.Scale, resolved.ProfileTraces, resolved.EvalTraces)
-	return bench.RunWith(ctx, resolved, progress, arts)
+	return bench.Run(ctx, resolved, progress, arts)
 }
 
 // GateBench runs the benchmark harness on the session (see Bench) and
@@ -401,12 +420,17 @@ func (e *Engine) GateBench(ctx context.Context, cfg BenchConfig, baseline *Bench
 // ExperimentIDs). Cancellation stops the run between experiment units and
 // leaves a clean partial report.
 func (e *Engine) Experiments(ctx context.Context, out io.Writer, ids ...string) error {
+	// The figure runners panic on any artifact error but cancellation, so
+	// refuse an unusable session base before anything renders.
+	if err := e.validBase(); err != nil {
+		return err
+	}
 	p := e.ExperimentParams()
 	if len(ids) == 0 {
-		return exp.RunAllParallelWith(ctx, out, p, e.workers, e.wb)
+		return exp.RunAllParallel(ctx, out, p, e.workers, e.wb)
 	}
 	for _, id := range ids {
-		if err := exp.RunExperimentWith(ctx, id, out, p, e.wb); err != nil {
+		if err := exp.RunExperiment(ctx, id, out, p, e.wb); err != nil {
 			return err
 		}
 	}

@@ -1,18 +1,15 @@
 package addict
 
-// Internal test file (package addict, not addict_test): the differential
-// tests below deliberately exercise the deprecated v1 wrappers, which
-// in-package use keeps out of SA1019's scope.
-
 import (
 	"bytes"
 	"context"
+	"io"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"addict/internal/exp"
 	"addict/internal/sweep"
 )
 
@@ -35,73 +32,70 @@ func TestExperimentIDsSorted(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesDeprecatedSweep: the deprecated RunSweep wrapper, the
-// pre-session execution path (sweep.Run), and Engine.Sweep must emit
-// byte-identical tables for the same grid.
-func TestEngineMatchesDeprecatedSweep(t *testing.T) {
+// TestEngineSweepMatchesSweepRun: Engine.Sweep (session cache, inherited
+// base) and the bare execution path (sweep.Run over a fresh cache) must
+// emit byte-identical output for the same grid in every format.
+func TestEngineSweepMatchesSweepRun(t *testing.T) {
 	spec := SweepSpec{
 		Seed: 7, Scale: 0.05, ProfileTraces: 40, EvalTraces: 40,
 		Workloads:  []string{"TPC-B"},
 		Mechanisms: []string{"Baseline", "ADDICT"},
 		Threads:    []int{2, 4},
 	}
+	ctx := context.Background()
 	for _, format := range []string{"table", "csv", "jsonl"} {
-		var v1, v1direct, v2 bytes.Buffer
-		if err := RunSweep(&v1, spec, format, 2); err != nil {
-			t.Fatal(err)
-		}
-		em, err := sweep.NewEmitter(format, &v1direct)
+		var direct, session bytes.Buffer
+		em, err := sweep.NewEmitter(format, &direct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sweep.Run(spec, em, 2); err != nil {
+		if err := sweep.Run(ctx, spec, em, 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := NewEngine(WithWorkers(2)).Sweep(context.Background(), &v2, spec, format); err != nil {
+		if err := NewEngine(WithWorkers(2)).Sweep(ctx, &session, spec, format); err != nil {
 			t.Fatal(err)
 		}
-		if v1.Len() == 0 {
+		if direct.Len() == 0 {
 			t.Fatalf("%s: empty sweep output", format)
 		}
-		if !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-			t.Errorf("%s: deprecated RunSweep and Engine.Sweep diverge", format)
-		}
-		if !bytes.Equal(v1direct.Bytes(), v2.Bytes()) {
-			t.Errorf("%s: pre-session sweep.Run and Engine.Sweep diverge", format)
+		if !bytes.Equal(direct.Bytes(), session.Bytes()) {
+			t.Errorf("%s: sweep.Run and Engine.Sweep diverge", format)
 		}
 	}
 }
 
-// TestEngineMatchesDeprecatedExperiments: the deprecated experiment
-// wrappers and Engine.Experiments must render byte-identical reports —
-// single experiments and the full report alike.
-func TestEngineMatchesDeprecatedExperiments(t *testing.T) {
+// TestEngineExperimentsMatchSerialRunAll: Engine.Experiments renders on
+// the session cache and worker pool; its full report, and single
+// experiments rendered by id, must be byte-identical to the serial
+// reference report (exp.RunAll) on the same parameters.
+func TestEngineExperimentsMatchSerialRunAll(t *testing.T) {
 	e := tinyEngine(2)
-	p := e.ExperimentParams()
 	ctx := context.Background()
 
-	var v1 bytes.Buffer
-	if err := RunExperimentParallel("fig1", &v1, p, 2); err != nil {
+	var serial bytes.Buffer
+	if err := exp.RunAll(ctx, &serial, e.ExperimentParams()); err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := e.Experiments(ctx, &v2, "fig1"); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Len() == 0 || !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Error("deprecated RunExperimentParallel and Engine.Experiments diverge on fig1")
+	if serial.Len() == 0 {
+		t.Fatal("serial reference report is empty")
 	}
 
-	var full1, full2 bytes.Buffer
-	RunAllExperiments(&full1, p)
-	if err := tinyEngine(4).Experiments(ctx, &full2); err != nil {
+	// The report opens with Table 1 then Figure 1, so the two rendered by
+	// id must be exactly its prefix.
+	var byID bytes.Buffer
+	if err := e.Experiments(ctx, &byID, "table1", "fig1"); err != nil {
 		t.Fatal(err)
 	}
-	if full1.Len() == 0 {
-		t.Fatal("deprecated full report is empty")
+	if byID.Len() == 0 || !bytes.HasPrefix(serial.Bytes(), byID.Bytes()) {
+		t.Error("Engine.Experiments(table1, fig1) diverges from the serial report")
 	}
-	if !bytes.Equal(full1.Bytes(), full2.Bytes()) {
-		t.Error("deprecated RunAllExperiments and Engine.Experiments diverge on the full report")
+
+	var full bytes.Buffer
+	if err := tinyEngine(4).Experiments(ctx, &full); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial.Bytes(), full.Bytes()) {
+		t.Error("Engine.Experiments full report diverges from serial exp.RunAll")
 	}
 }
 
@@ -375,43 +369,116 @@ func TestEngineGateBench(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillServe keeps the v1 surface alive end to end:
-// each wrapper must produce the same artifacts as its Engine counterpart.
+// TestEngineRejectsOutOfRangeBase: a session whose scale or trace windows
+// are not positive must answer every pipeline with an error — never with
+// numbers from a degenerate workload, and never with a panic.
+func TestEngineRejectsOutOfRangeBase(t *testing.T) {
+	cases := []struct {
+		name string
+		opt  EngineOption
+	}{
+		{"scale -1", WithScale(-1)},
+		{"scale 0", WithScale(0)},
+		{"windows 0", WithTraceWindows(0, 0, 0)},
+		{"windows -10", WithTraceWindows(-10, -10, -10)},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(WithSeed(5), WithScale(0.05), WithTraceWindows(60, 60, 80), WithWorkers(1), c.opt)
+			calls := []struct {
+				what string
+				call func() error
+			}{
+				{"Traces", func() error { _, err := e.Traces(ctx, "TPC-B"); return err }},
+				{"ProfilingTraces", func() error { _, err := e.ProfilingTraces(ctx, "TPC-B"); return err }},
+				{"Profile", func() error { _, err := e.Profile(ctx, "TPC-B"); return err }},
+				{"Schedule", func() error { _, err := e.Schedule(ctx, Baseline, "TPC-B"); return err }},
+				{"ScheduleAll", func() error { _, err := e.ScheduleAll(ctx, "TPC-B"); return err }},
+				{"GenerateTraces", func() error { _, err := e.GenerateTraces(ctx, "TPC-B", 10); return err }},
+				{"Bench", func() error {
+					_, err := e.Bench(ctx, BenchConfig{Workloads: []string{"TPC-B"}, MinRuns: 1, MinDuration: time.Millisecond})
+					return err
+				}},
+				{"Sweep", func() error {
+					return e.Sweep(ctx, io.Discard, SweepSpec{Workloads: []string{"TPC-B"}, Mechanisms: []string{"Baseline"}}, "csv")
+				}},
+				{"Experiments(fig1)", func() error { return e.Experiments(ctx, io.Discard, "fig1") }},
+				{"Experiments", func() error { return e.Experiments(ctx, io.Discard) }},
+			}
+			for _, call := range calls {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s panicked: %v", call.what, r)
+						}
+					}()
+					if err := call.call(); err == nil {
+						t.Errorf("%s returned no error", call.what)
+					}
+				}()
+			}
+		})
+	}
+}
+
+// TestDeprecatedWrappersStillServe keeps the jobs of the removed v1
+// wrappers served: each wrapper was a one-shot throwaway session, so a
+// fresh NewEngine(...) call must produce the same artifacts as a warm
+// session that has already done other work.
 func TestDeprecatedWrappersStillServe(t *testing.T) {
 	ctx := context.Background()
-	v1, err := GenerateTracesSharded("TPC-B", 5, 0.05, 30, 2)
+	oneShot := func() *Engine { return NewEngine(WithSeed(5), WithScale(0.05), WithWorkers(2)) }
+	warm := oneShot()
+	if _, err := warm.GenerateTraces(ctx, "TPC-C", 10); err != nil {
+		t.Fatal(err)
+	}
+
+	v1, err := oneShot().GenerateTraces(ctx, "TPC-B", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := NewEngine(WithSeed(5), WithScale(0.05), WithWorkers(2)).GenerateTraces(ctx, "TPC-B", 30)
+	v2, err := warm.GenerateTraces(ctx, "TPC-B", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1.Digest() != v2.Digest() {
-		t.Error("GenerateTracesSharded diverges from Engine.GenerateTraces")
+		t.Error("one-shot GenerateTraces diverges from a warm session")
 	}
 
 	spec, err := ParseSynthWorkload("synth:uniform-ro")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := GenerateSynthTracesSharded(spec, 5, 0.02, 20, 2)
+	s1, err := oneShot().SynthTraces(ctx, spec, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewEngine(WithSeed(5), WithScale(0.02), WithWorkers(2)).SynthTraces(ctx, spec, 20)
+	s2, err := warm.SynthTraces(ctx, spec, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.Digest() != s2.Digest() {
-		t.Error("GenerateSynthTracesSharded diverges from Engine.SynthTraces")
+		t.Error("one-shot SynthTraces diverges from a warm session")
 	}
 
-	var sb strings.Builder
-	if err := RunExperiment("table1", &sb, QuickExperimentParams()); err != nil {
+	p := QuickExperimentParams()
+	session := func() *Engine {
+		return NewEngine(WithSeed(p.Seed), WithScale(p.Scale), WithMachine(p.Machine),
+			WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces), WithWorkers(1))
+	}
+	var first, again bytes.Buffer
+	e := session()
+	if err := e.Experiments(ctx, &first, "table1"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "Table 1") {
-		t.Error("RunExperiment(table1) output missing header")
+	if err := e.Experiments(ctx, &again, "table1"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(first.Bytes(), []byte("Table 1")) {
+		t.Error("Experiments(table1) output missing header")
+	}
+	if first.String() != again.String() {
+		t.Error("Experiments(table1) differs between a fresh and a warm session")
 	}
 }

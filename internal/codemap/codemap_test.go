@@ -180,8 +180,8 @@ func TestFindMatchesLinearScan(t *testing.T) {
 // Two ratios deviate deliberately: the lock fast path and pin-record sizes
 // were reduced so that every migration-point action fits the 32KB L1-I with
 // slack — the scheduling behaviour the paper's evaluation depends on —
-// trading ~6-8 percentage points on two Figure 1 labels (recorded in
-// EXPERIMENTS.md). The live measurement over generated traces is done by
+// trading ~6-8 percentage points on two Figure 1 labels (visible in
+// internal/exp/testdata/fig1.golden). The live measurement over generated traces is done by
 // the Fig 1 experiment; this test pins the static calibration.
 func TestFigure1Ratios(t *testing.T) {
 	l := NewLayout()

@@ -84,8 +84,8 @@ var Workloads = []string{"TPC-B", "TPC-C", "TPC-E"}
 // them concurrently, with content independent of order, interleaving, and
 // worker count. The figure runners consume artifacts as plain values; on a
 // context-cancelled run the accessors unwind with an internal panic the
-// experiment entry points (RunAllCtx, RunAllParallelCtx, Experiments)
-// recover into an ordinary error, so a cancelled run renders nothing
+// experiment entry points (RunAll, RunAllParallel, RunExperiment) recover
+// into an ordinary error, so a cancelled run renders nothing
 // half-computed.
 type Workbench struct {
 	P      Params
@@ -95,30 +95,11 @@ type Workbench struct {
 	wb  *sweep.Workbench
 }
 
-// NewWorkbench prepares an empty workbench with serial trace generation.
-func NewWorkbench(p Params) *Workbench {
-	return NewWorkbenchCtx(context.Background(), p, 1)
-}
-
-// NewParallelWorkbench prepares an empty workbench whose trace generation
-// may use up to `workers` goroutines. Artifact content is identical for
-// every workers value (see workload.GenerateSetSharded).
-func NewParallelWorkbench(p Params, workers int) *Workbench {
-	return NewWorkbenchCtx(context.Background(), p, workers)
-}
-
-// NewWorkbenchCtx prepares a workbench whose artifact computations abort
-// between work items once ctx is cancelled.
-func NewWorkbenchCtx(ctx context.Context, p Params, workers int) *Workbench {
-	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
-	return NewWorkbenchOn(ctx, p, sweep.NewWorkbench(arts, p.Machine))
-}
-
-// NewWorkbenchOn wraps an existing session cache (sweep.Workbench) as an
-// experiment workbench — the hook the facade's Engine uses to run
-// experiments over the same artifacts its Schedule/Sweep/Bench calls
-// already computed. The caller must pass a cache built over exactly p's
-// seed, scale, trace windows, and machine.
+// NewWorkbenchOn wraps a session cache (sweep.Workbench) as an experiment
+// workbench — the hook the facade's Engine uses to run experiments over
+// the same artifacts its Schedule/Sweep/Bench calls already computed, and
+// the one workbench constructor. The caller must pass a cache built over
+// exactly p's seed, scale, trace windows, and machine.
 func NewWorkbenchOn(ctx context.Context, p Params, wb *sweep.Workbench) *Workbench {
 	return &Workbench{
 		P:      p,

@@ -2,11 +2,14 @@ package exp
 
 import (
 	"context"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 
 	"addict/internal/sched"
 	"addict/internal/sim"
+	"addict/internal/sweep"
 	"addict/internal/trace"
 )
 
@@ -20,6 +23,18 @@ func tinyParams() Params {
 		StabilityTraces: 250,
 		Machine:         sim.Shallow(),
 	}
+}
+
+// testWorkbench builds a workbench over a fresh session cache whose trace
+// generation uses up to `workers` goroutines.
+func testWorkbench(p Params, workers int) *Workbench {
+	return NewWorkbenchOn(context.Background(), p, sessionCache(p, workers))
+}
+
+// sessionCache builds a fresh session cache over p's base parameters.
+func sessionCache(p Params, workers int) *sweep.Workbench {
+	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
+	return sweep.NewWorkbench(arts, p.Machine)
 }
 
 func TestTable1Renders(t *testing.T) {
@@ -38,7 +53,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestFig1ShapeHolds(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig1(w)
 	// Probe/scan/update/insert footprints must exist and be cache-scale.
 	for _, op := range []trace.OpType{trace.OpIndexProbe, trace.OpIndexScan, trace.OpUpdateTuple, trace.OpInsertTuple} {
@@ -52,8 +67,8 @@ func TestFig1ShapeHolds(t *testing.T) {
 		}
 		// Within 15 percentage points of the paper's label; dashed-path
 		// edges get extra slack at this tiny scale (splits and page
-		// allocations are rare events — EXPERIMENTS.md records full-scale
-		// numbers).
+		// allocations are rare events — testdata/fig1.golden records the
+		// quick-size numbers).
 		tol := 0.15
 		if e.Dashed || e.Child == "create index entry" || e.Child == "create record" {
 			tol = 0.30
@@ -70,7 +85,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 }
 
 func TestFig2OverlapShape(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig2(w, "TPC-B")
 	// Section 2.2: instructions overlap heavily, data barely.
 	if r.MixInstr.CommonShare() < 0.5 {
@@ -99,7 +114,7 @@ func TestFig2OverlapShape(t *testing.T) {
 }
 
 func TestFig2TPCEMixLessCommonThanTxn(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig2(w, "TPC-E")
 	// "the instruction overlap is less in the overall TPC-E mix ...
 	// However, among same-type transactions instruction overlap is still
@@ -115,7 +130,7 @@ func TestFig2TPCEMixLessCommonThanTxn(t *testing.T) {
 }
 
 func TestFig3CommonBlocksHotter(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig3(w)
 	bands := r.TxnInstr
 	always := bands[len(bands)-1]
@@ -133,7 +148,7 @@ func TestFig3CommonBlocksHotter(t *testing.T) {
 }
 
 func TestFig4StabilityHigh(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig4(w, "TPC-B")
 	if len(r.At1k) == 0 || len(r.At10k) == 0 {
 		t.Fatal("no stability rows")
@@ -155,7 +170,7 @@ func TestFig4StabilityHigh(t *testing.T) {
 }
 
 func TestCompareShape(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	c := Compare(w, "TPC-B")
 	if len(c.Rows) != 4 {
 		t.Fatalf("rows = %d", len(c.Rows))
@@ -201,7 +216,7 @@ func TestCompareShape(t *testing.T) {
 }
 
 func TestFig7LargerBatchesHelp(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig7(w, "TPC-B")
 	if len(r.Points) != len(Fig7BatchSizes) {
 		t.Fatalf("points = %d", len(r.Points))
@@ -220,7 +235,7 @@ func TestFig7LargerBatchesHelp(t *testing.T) {
 }
 
 func TestFig8aDeepHierarchySmallerWin(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Fig8a(w, "TPC-B")
 	// Section 4.6: gains shrink on the deep hierarchy (the private 256KB
 	// L2 absorbs most of the L1-I miss penalty; our whole code layout fits
@@ -235,7 +250,7 @@ func TestFig8aDeepHierarchySmallerWin(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	w := NewWorkbench(tinyParams())
+	w := testWorkbench(tinyParams(), 1)
 	r := Ablate(w, "TPC-B")
 	if len(r.Rows) < 3 {
 		t.Fatalf("ablation rows = %d", len(r.Rows))
@@ -248,10 +263,17 @@ func TestAblations(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	for _, id := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "ablations"} {
-		if _, ok := Experiments[id]; !ok {
+	have := map[string]bool{}
+	for _, id := range IDs() {
+		have[id] = true
+	}
+	for _, id := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "ablations", "synthchar"} {
+		if !have[id] {
 			t.Errorf("experiment %q missing from registry", id)
 		}
+	}
+	if !sort.StringsAreSorted(IDs()) {
+		t.Errorf("IDs() not sorted: %v", IDs())
 	}
 }
 
@@ -268,24 +290,23 @@ func TestExperimentRegistryRunners(t *testing.T) {
 		Machine:         sim.Shallow(),
 	}
 	for _, id := range []string{"table1", "fig1", "fig3", "fig4"} {
-		run, ok := Experiments[id]
-		if !ok {
-			t.Fatalf("missing %q", id)
-		}
 		var sb strings.Builder
-		if err := run(context.Background(), &sb, p, 2); err != nil {
+		if err := RunExperiment(context.Background(), id, &sb, p, sessionCache(p, 2)); err != nil {
 			t.Fatalf("experiment %q: %v", id, err)
 		}
 		if sb.Len() == 0 {
 			t.Errorf("experiment %q produced no output", id)
 		}
 	}
+	if err := RunExperiment(context.Background(), "nope", io.Discard, p, sessionCache(p, 1)); err == nil {
+		t.Error("unknown experiment id accepted")
+	}
 }
 
 // TestWorkbenchCaching: repeated access must reuse artifacts, and eval
 // traces must differ from profiling traces (the paper's disjoint windows).
 func TestWorkbenchCaching(t *testing.T) {
-	w := NewWorkbench(Params{Seed: 3, Scale: 0.03, ProfileTraces: 20, EvalTraces: 20, StabilityTraces: 30, Machine: sim.Shallow()})
+	w := testWorkbench(Params{Seed: 3, Scale: 0.03, ProfileTraces: 20, EvalTraces: 20, StabilityTraces: 30, Machine: sim.Shallow()}, 1)
 	p1 := w.ProfileSet("TPC-B")
 	p2 := w.ProfileSet("TPC-B")
 	if p1 != p2 {

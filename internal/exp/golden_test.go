@@ -100,7 +100,7 @@ func TestRenderersMatchGoldens(t *testing.T) {
 	if raceEnabled {
 		t.Skip("goldens encode QuickParams() output; skipped under -race for time (covered by the plain test tier)")
 	}
-	chunks := splitReport(t, serialQuickReport())
+	chunks := splitReport(t, serialQuickReport(t))
 	if len(chunks) != len(goldenIDs) {
 		t.Errorf("report has %d distinct sections, want %d", len(chunks), len(goldenIDs))
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,14 +19,19 @@ import (
 var (
 	quickSerialOnce sync.Once
 	quickSerialOut  []byte
+	quickSerialErr  error
 )
 
-func serialQuickReport() []byte {
+func serialQuickReport(t *testing.T) []byte {
+	t.Helper()
 	quickSerialOnce.Do(func() {
 		var buf bytes.Buffer
-		RunAll(&buf, QuickParams())
+		quickSerialErr = RunAll(context.Background(), &buf, QuickParams())
 		quickSerialOut = buf.Bytes()
 	})
+	if quickSerialErr != nil {
+		t.Fatal(quickSerialErr)
+	}
 	return quickSerialOut
 }
 
@@ -58,17 +64,21 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if raceEnabled {
 		p = tinyParams()
 		var buf bytes.Buffer
-		RunAll(&buf, p)
+		if err := RunAll(context.Background(), &buf, p); err != nil {
+			t.Fatal(err)
+		}
 		want = buf.Bytes()
 	} else {
-		want = serialQuickReport()
+		want = serialQuickReport(t)
 	}
 	if len(want) == 0 {
 		t.Fatal("serial RunAll produced no output")
 	}
 	for _, workers := range []int{1, 2, 8} {
 		var buf bytes.Buffer
-		RunAllParallel(&buf, p, workers)
+		if err := RunAllParallel(context.Background(), &buf, p, workers, sessionCache(p, workers)); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("RunAllParallel(workers=%d) diverges from serial RunAll: %s",
 				workers, firstDiff(want, buf.Bytes()))
@@ -80,9 +90,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 // sets are identical whichever generation parallelism produced them.
 func TestWorkbenchShardDigestsWorkerIndependent(t *testing.T) {
 	p := tinyParams()
-	serial := NewWorkbench(p)
+	serial := testWorkbench(p, 1)
 	for _, workers := range []int{2, 8} {
-		par := NewParallelWorkbench(p, workers)
+		par := testWorkbench(p, workers)
 		for _, name := range Workloads {
 			if got, want := par.ProfileSet(name).Digest(), serial.ProfileSet(name).Digest(); got != want {
 				t.Errorf("%s profile set digest (workers=%d) = %#x, want %#x", name, workers, got, want)
@@ -106,7 +116,7 @@ func TestWorkbenchShardDigestsWorkerIndependent(t *testing.T) {
 // -race this is the scheduler/simulator data-race audit.
 func TestWorkbenchConcurrentSingleFlight(t *testing.T) {
 	p := Params{Seed: 5, Scale: 0.05, ProfileTraces: 60, EvalTraces: 60, StabilityTraces: 80, Machine: sim.Shallow()}
-	w := NewParallelWorkbench(p, 4)
+	w := testWorkbench(p, 4)
 
 	const goroutines = 16
 	type view struct {
@@ -148,8 +158,12 @@ func TestWorkbenchConcurrentSingleFlight(t *testing.T) {
 // to the workbench path (same recipe, same bytes).
 func TestGenerateSetShardedMatchesWorkbench(t *testing.T) {
 	p := tinyParams()
-	w := NewWorkbench(p)
-	s, err := workload.GenerateSetSharded("TPC-B", p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
+	w := testWorkbench(p, 1)
+	r, err := workload.Resolve("TPC-B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.GenerateSharded(context.Background(), p.Seed, p.Scale, 0, p.ProfileTraces, workload.DefaultShardSize, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

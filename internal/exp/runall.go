@@ -5,95 +5,52 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 
 	"addict/internal/pool"
 	"addict/internal/sched"
 	"addict/internal/sweep"
 )
 
-// RunAll executes every experiment serially and renders the full report —
-// the source of EXPERIMENTS.md's measured numbers. RunAllParallel produces
-// byte-identical output on a worker pool; this serial form is kept as the
-// reference implementation the determinism tests compare against.
-func RunAll(out io.Writer, p Params) {
-	// Background context: the legacy entry point cannot be cancelled.
-	_ = RunAllCtx(context.Background(), out, p)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation: once ctx is cancelled
-// the run stops between artifact computations and returns ctx's error; the
-// sections already written form a clean prefix of the report.
-func RunAllCtx(ctx context.Context, out io.Writer, p Params) (err error) {
-	defer recoverCancel(&err)
-	w := NewWorkbenchCtx(ctx, p, 1)
-
-	Table1(out, p.Machine)
-	Fig1(w).Render(out)
-	for _, name := range Workloads {
-		Fig2(w, name).Render(out)
+// RunAll executes every experiment serially, in presentation order, and
+// renders the full report — the source of the renderer goldens in
+// testdata/. RunAllParallel produces byte-identical output on a worker
+// pool; this serial form is kept as the reference implementation the
+// determinism tests compare against. Once ctx is cancelled the run stops
+// between artifact computations and returns ctx's error; the sections
+// already written form a clean prefix of the report.
+func RunAll(ctx context.Context, out io.Writer, p Params) error {
+	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 1)
+	w := NewWorkbenchOn(ctx, p, sweep.NewWorkbench(arts, p.Machine))
+	for _, e := range experimentBodies {
+		if err := runBody(ctx, e.body, w, out); err != nil {
+			return err
+		}
 	}
-	Fig3(w).Render(out)
-	for _, name := range []string{"TPC-B", "TPC-C"} {
-		Fig4(w, name).Render(out)
-	}
-	var comparisons []Comparison
-	for _, name := range Workloads {
-		comparisons = append(comparisons, Compare(w, name))
-	}
-	Fig5Render(out, comparisons)
-	Fig6Render(out, comparisons)
-	for _, name := range Workloads {
-		Fig7(w, name).Render(out)
-	}
-	var deep []Fig8aResult
-	for _, name := range Workloads {
-		deep = append(deep, Fig8a(w, name))
-	}
-	Fig8aRender(out, deep)
-	Fig8bRender(out, comparisons)
-	Fig9Render(out, comparisons)
-	for _, name := range Workloads {
-		Ablate(w, name).Render(out)
-	}
-	SynthChar(w).Render(out)
 	return nil
 }
 
-// RunAllParallel executes every experiment of RunAll on a bounded worker
-// pool and emits a byte-identical report. Independent experiment units —
-// per-workload replays, per-figure analyses, the per-(workload, mechanism)
-// simulations behind Figures 5/6/8b/9 — run concurrently on up to
-// `workers` goroutines (workers < 1 selects runtime.GOMAXPROCS(0)); each
-// renderer writes into a private buffer, and buffers stream to out in the
-// exact serial presentation order as soon as their section (and every
-// section before it) is ready. Determinism holds because every shared
-// artifact is single-flight memoized in the Workbench and every artifact's
-// content is independent of computation order (sharded trace generation,
+// RunAllParallel executes every experiment of RunAll over an existing
+// session cache (see NewWorkbenchOn) and emits a byte-identical report:
+// the run reuses — and leaves behind — whatever artifacts the session
+// already holds. Independent experiment units — per-workload replays,
+// per-figure analyses, the per-(workload, mechanism) simulations behind
+// Figures 5/6/8b/9 — run concurrently on up to `workers` goroutines
+// (workers < 1 selects runtime.GOMAXPROCS(0)); each renderer writes into a
+// private buffer, and buffers stream to out in the exact serial
+// presentation order as soon as their section (and every section before
+// it) is ready. Determinism holds because every shared artifact is
+// single-flight memoized in the session cache and every artifact's content
+// is independent of computation order (sharded trace generation,
 // deterministic simulation).
-func RunAllParallel(out io.Writer, p Params, workers int) {
-	_ = RunAllParallelCtx(context.Background(), out, p, workers)
-}
-
-// RunAllParallelCtx is RunAllParallel with cooperative cancellation: once
-// ctx is cancelled no new experiment unit starts and no further section is
-// emitted; in-flight units finish (a simulation replay is not divisible)
-// and the call returns ctx's error after the pool drains. The sections
-// already written form a clean prefix of the serial report.
-func RunAllParallelCtx(ctx context.Context, out io.Writer, p Params, workers int) error {
+//
+// Once ctx is cancelled no new experiment unit starts and no further
+// section is emitted; in-flight units finish (a simulation replay is not
+// divisible) and the call returns ctx's error after the pool drains. The
+// sections already written form a clean prefix of the serial report.
+func RunAllParallel(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench) error {
 	workers = pool.NormWorkers(workers)
-	return runAllParallelOn(ctx, NewWorkbenchCtx(ctx, p, workers), out, p, workers)
-}
-
-// RunAllParallelWith is RunAllParallelCtx over an existing session cache
-// (see NewWorkbenchOn): the full report reuses — and leaves behind —
-// whatever artifacts the session already holds.
-func RunAllParallelWith(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench) error {
-	workers = pool.NormWorkers(workers)
-	return runAllParallelOn(ctx, NewWorkbenchOn(ctx, p, swb), out, p, workers)
-}
-
-// runAllParallelOn is the shared body of the parallel report runners.
-func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params, workers int) error {
+	w := NewWorkbenchOn(ctx, p, swb)
 	fig4Workloads := []string{"TPC-B", "TPC-C"}
 	comparisons := make([]Comparison, len(Workloads))
 	deep := make([]Fig8aResult, len(Workloads))
@@ -160,50 +117,40 @@ func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params
 			}
 		}
 	}
+	// each queues one buffered section per workload.
+	each := func(names []string, render func(out io.Writer, name string)) []func() {
+		js := make([]func(), len(names))
+		for i, name := range names {
+			js[i] = buffered(func(out io.Writer) { render(out, name) })
+		}
+		return js
+	}
 
 	// Computation jobs whose results feed several renderers.
 	compareJobs := make([]func(), len(Workloads))
 	compareWaits := make([]func(), len(Workloads))
 	for i, name := range Workloads {
-		i, name := i, name
 		compareJobs[i], compareWaits[i] = done(func() { comparisons[i] = Compare(w, name) })
 	}
 	deepJobs := make([]func(), len(Workloads))
 	deepWaits := make([]func(), len(Workloads))
 	for i, name := range Workloads {
-		i, name := i, name
 		deepJobs[i], deepWaits[i] = done(func() { deep[i] = Fig8a(w, name) })
 	}
 
-	// Emission plan, in RunAll's presentation order.
+	// Emission plan, in the serial presentation order.
 	direct(nothing, func(out io.Writer) { Table1(out, p.Machine) })
 	fig1Job := buffered(func(out io.Writer) { Fig1(w).Render(out) })
-	fig2Jobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		fig2Jobs = append(fig2Jobs, buffered(func(out io.Writer) { Fig2(w, name).Render(out) }))
-	}
+	fig2Jobs := each(Workloads, func(out io.Writer, name string) { Fig2(w, name).Render(out) })
 	fig3Job := buffered(func(out io.Writer) { Fig3(w).Render(out) })
-	fig4Jobs := make([]func(), 0, len(fig4Workloads))
-	for _, name := range fig4Workloads {
-		name := name
-		fig4Jobs = append(fig4Jobs, buffered(func(out io.Writer) { Fig4(w, name).Render(out) }))
-	}
+	fig4Jobs := each(fig4Workloads, func(out io.Writer, name string) { Fig4(w, name).Render(out) })
 	direct(waitAll(compareWaits), func(out io.Writer) { Fig5Render(out, comparisons) })
 	direct(nothing, func(out io.Writer) { Fig6Render(out, comparisons) })
-	fig7Jobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		fig7Jobs = append(fig7Jobs, buffered(func(out io.Writer) { Fig7(w, name).Render(out) }))
-	}
+	fig7Jobs := each(Workloads, func(out io.Writer, name string) { Fig7(w, name).Render(out) })
 	direct(waitAll(deepWaits), func(out io.Writer) { Fig8aRender(out, deep) })
 	direct(nothing, func(out io.Writer) { Fig8bRender(out, comparisons) })
 	direct(nothing, func(out io.Writer) { Fig9Render(out, comparisons) })
-	ablateJobs := make([]func(), 0, len(Workloads))
-	for _, name := range Workloads {
-		name := name
-		ablateJobs = append(ablateJobs, buffered(func(out io.Writer) { Ablate(w, name).Render(out) }))
-	}
+	ablateJobs := each(Workloads, func(out io.Writer, name string) { Ablate(w, name).Render(out) })
 	// Synthetic characterization fans out per scenario (each is a full
 	// generate+profile+4-replay unit) and renders from the assembled rows.
 	synthNames := SynthWorkloads()
@@ -211,7 +158,6 @@ func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params
 	synthJobs := make([]func(), len(synthNames))
 	synthWaits := make([]func(), len(synthNames))
 	for i, name := range synthNames {
-		i, name := i, name
 		synthJobs[i], synthWaits[i] = done(func() { synthRows[i] = synthCharRow(w, name) })
 	}
 	direct(waitAll(synthWaits), func(out io.Writer) { SynthCharResult{Rows: synthRows}.Render(out) })
@@ -223,27 +169,19 @@ func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params
 	// early-presentation sections (Figures 1-4) come next so the report
 	// starts streaming while the heavy sweeps still run.
 	for _, name := range Workloads {
-		name := name
-		for _, mech := range allMechanisms() {
-			mech := mech
+		for _, mech := range sched.Mechanisms {
 			warm, _ := done(func() { w.Result(name, mech) })
 			jobs = append(jobs, warm)
 		}
 	}
-	jobs = append(jobs, fig1Job)
-	jobs = append(jobs, fig2Jobs...)
-	jobs = append(jobs, fig3Job)
-	jobs = append(jobs, fig4Jobs...)
-	jobs = append(jobs, fig7Jobs...)
-	jobs = append(jobs, ablateJobs...)
-	jobs = append(jobs, synthJobs...)
-	jobs = append(jobs, deepJobs...)
-	jobs = append(jobs, compareJobs...)
+	for _, js := range [][]func(){{fig1Job}, fig2Jobs, {fig3Job}, fig4Jobs, fig7Jobs, ablateJobs, synthJobs, deepJobs, compareJobs} {
+		jobs = append(jobs, js...)
+	}
 
 	poolDone := make(chan struct{})
 	go func() {
 		defer close(poolDone)
-		_ = pool.RunCtx(ctx, workers, len(jobs), func(i int) { jobs[i]() })
+		_ = pool.Run(ctx, workers, len(jobs), func(i int) { jobs[i]() })
 	}()
 	for _, emit := range emits {
 		emit.wait()
@@ -257,75 +195,72 @@ func runAllParallelOn(ctx context.Context, w *Workbench, out io.Writer, p Params
 	return ctx.Err()
 }
 
-// allMechanisms returns the evaluated mechanisms in presentation order.
-func allMechanisms() []sched.Mechanism { return sched.Mechanisms }
-
-// experimentBodies maps experiment ids to their render bodies over a
-// workbench — the single definition both the standalone runners
-// (Experiments) and session-cache runs (RunExperimentWith) share.
-var experimentBodies = map[string]func(w *Workbench, out io.Writer){
-	"table1": func(w *Workbench, out io.Writer) { Table1(out, w.P.Machine) },
-	"fig1":   func(w *Workbench, out io.Writer) { Fig1(w).Render(out) },
-	"fig2": func(w *Workbench, out io.Writer) {
+// experimentBodies lists every experiment's render body over a workbench,
+// in the report's presentation order — the single definition the serial
+// report (RunAll), single-experiment runs (RunExperiment), and the id
+// listing (IDs) share.
+var experimentBodies = []struct {
+	id   string
+	body func(w *Workbench, out io.Writer)
+}{
+	{"table1", func(w *Workbench, out io.Writer) { Table1(out, w.P.Machine) }},
+	{"fig1", func(w *Workbench, out io.Writer) { Fig1(w).Render(out) }},
+	{"fig2", func(w *Workbench, out io.Writer) {
 		for _, name := range Workloads {
 			Fig2(w, name).Render(out)
 		}
-	},
-	"fig3": func(w *Workbench, out io.Writer) { Fig3(w).Render(out) },
-	"fig4": func(w *Workbench, out io.Writer) {
+	}},
+	{"fig3", func(w *Workbench, out io.Writer) { Fig3(w).Render(out) }},
+	{"fig4", func(w *Workbench, out io.Writer) {
 		for _, name := range []string{"TPC-B", "TPC-C"} {
 			Fig4(w, name).Render(out)
 		}
-	},
-	"fig5": func(w *Workbench, out io.Writer) { Fig5Render(out, compareAll(w)) },
-	"fig6": func(w *Workbench, out io.Writer) { Fig6Render(out, compareAll(w)) },
-	"fig7": func(w *Workbench, out io.Writer) {
+	}},
+	{"fig5", func(w *Workbench, out io.Writer) { Fig5Render(out, compareAll(w)) }},
+	{"fig6", func(w *Workbench, out io.Writer) { Fig6Render(out, compareAll(w)) }},
+	{"fig7", func(w *Workbench, out io.Writer) {
 		for _, name := range Workloads {
 			Fig7(w, name).Render(out)
 		}
-	},
-	"fig8a": func(w *Workbench, out io.Writer) {
+	}},
+	{"fig8a", func(w *Workbench, out io.Writer) {
 		var rs []Fig8aResult
 		for _, name := range Workloads {
 			rs = append(rs, Fig8a(w, name))
 		}
 		Fig8aRender(out, rs)
-	},
-	"fig8b": func(w *Workbench, out io.Writer) { Fig8bRender(out, compareAll(w)) },
-	"fig9":  func(w *Workbench, out io.Writer) { Fig9Render(out, compareAll(w)) },
-	"ablations": func(w *Workbench, out io.Writer) {
+	}},
+	{"fig8b", func(w *Workbench, out io.Writer) { Fig8bRender(out, compareAll(w)) }},
+	{"fig9", func(w *Workbench, out io.Writer) { Fig9Render(out, compareAll(w)) }},
+	{"ablations", func(w *Workbench, out io.Writer) {
 		for _, name := range Workloads {
 			Ablate(w, name).Render(out)
 		}
-	},
-	"synthchar": func(w *Workbench, out io.Writer) { SynthChar(w).Render(out) },
+	}},
+	{"synthchar", func(w *Workbench, out io.Writer) { SynthChar(w).Render(out) }},
 }
 
-// Experiments maps experiment ids to their standalone context-first
-// runners. workers bounds the runner's generation and replay parallelism
-// exactly as in RunAllParallelCtx (workers < 1 selects
-// runtime.GOMAXPROCS(0)); output is identical for every worker count. A
+// IDs lists the experiment ids, sorted.
+func IDs() []string {
+	ids := make([]string, len(experimentBodies))
+	for i, e := range experimentBodies {
+		ids[i] = e.id
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// RunExperiment runs one experiment by id over an existing session cache
+// (see NewWorkbenchOn) — the facade Engine's single-experiment path. A
 // cancelled run stops between artifact computations and returns ctx's
 // error.
-var Experiments = func() map[string]func(ctx context.Context, out io.Writer, p Params, workers int) error {
-	m := make(map[string]func(ctx context.Context, out io.Writer, p Params, workers int) error, len(experimentBodies))
-	for id, body := range experimentBodies {
-		body := body
-		m[id] = func(ctx context.Context, out io.Writer, p Params, workers int) error {
-			return runBody(ctx, body, NewWorkbenchCtx(ctx, p, pool.NormWorkers(workers)), out)
+func RunExperiment(ctx context.Context, id string, out io.Writer, p Params, swb *sweep.Workbench) error {
+	for _, e := range experimentBodies {
+		if e.id == id {
+			return runBody(ctx, e.body, NewWorkbenchOn(ctx, p, swb), out)
 		}
 	}
-	return m
-}()
-
-// RunExperimentWith runs one experiment by id over an existing session
-// cache (see NewWorkbenchOn) — the facade Engine's single-experiment path.
-func RunExperimentWith(ctx context.Context, id string, out io.Writer, p Params, swb *sweep.Workbench) error {
-	body, ok := experimentBodies[id]
-	if !ok {
-		return fmt.Errorf("exp: unknown experiment %q", id)
-	}
-	return runBody(ctx, body, NewWorkbenchOn(ctx, p, swb), out)
+	return fmt.Errorf("exp: unknown experiment %q", id)
 }
 
 // compareAll assembles the per-workload mechanism comparisons Figures 5,

@@ -14,7 +14,7 @@ import (
 // move the outcome, they don't just re-measure the TPC regime.
 func TestSynthCharRankingDiffersFromTPCB(t *testing.T) {
 	p := tinyParams()
-	r := SynthChar(NewParallelWorkbench(p, 4))
+	r := SynthChar(testWorkbench(p, 4))
 	if len(r.Rows) < 5 {
 		t.Fatalf("characterized %d scenarios, want TPC-B + >= 4 presets", len(r.Rows))
 	}

@@ -1,5 +1,5 @@
-// Package pool provides the bounded worker pool (with cooperative
-// context cancellation, RunCtx) and the error-aware single-flight
+// Package pool provides the bounded worker pool (Run, with cooperative
+// context cancellation) and the error-aware single-flight
 // memoization map (Flight) shared by the parallel experiment engine
 // (internal/exp), the parameter-sweep engine (internal/sweep), sharded
 // trace generation (internal/workload), and the session facade (package

@@ -14,7 +14,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 37
 		var hits [n]int32
-		Run(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		Run(context.Background(), workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Errorf("workers=%d: index %d ran %d times, want 1", workers, i, h)
@@ -26,7 +26,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, max int32
-	Run(workers, 64, func(int) {
+	_ = Run(context.Background(), workers, 64, func(int) {
 		c := atomic.AddInt32(&cur, 1)
 		for {
 			m := atomic.LoadInt32(&max)
@@ -43,7 +43,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 
 func TestRunZeroItems(t *testing.T) {
 	ran := false
-	Run(4, 0, func(int) { ran = true })
+	_ = Run(context.Background(), 4, 0, func(int) { ran = true })
 	if ran {
 		t.Error("fn ran with n=0")
 	}
@@ -53,14 +53,14 @@ func TestRunCtxCancelStopsDispatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran int32
-		err := RunCtx(ctx, workers, 1000, func(i int) {
+		err := Run(ctx, workers, 1000, func(i int) {
 			if atomic.AddInt32(&ran, 1) == 3 {
 				cancel()
 			}
 		})
 		cancel()
 		if err == nil {
-			t.Errorf("workers=%d: RunCtx after cancellation returned nil", workers)
+			t.Errorf("workers=%d: Run after cancellation returned nil", workers)
 		}
 		// Items already dispatched may complete, but dispatch must stop:
 		// nowhere near all 1000 items run.
@@ -72,7 +72,7 @@ func TestRunCtxCancelStopsDispatch(t *testing.T) {
 
 func TestRunCtxNilErrorWhenComplete(t *testing.T) {
 	var hits int32
-	if err := RunCtx(context.Background(), 4, 16, func(int) { atomic.AddInt32(&hits, 1) }); err != nil {
+	if err := Run(context.Background(), 4, 16, func(int) { atomic.AddInt32(&hits, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	if hits != 16 {

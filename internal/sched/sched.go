@@ -93,7 +93,8 @@ type Config struct {
 
 // DefaultConfig returns the paper's evaluation setup on the given machine.
 // The mechanism knobs are calibrated once against the paper's Figure 5/6/9
-// shape (see EXPERIMENTS.md) and frozen.
+// shape (see the fig5/fig6/fig9 goldens in internal/exp/testdata) and
+// frozen.
 func DefaultConfig(machine sim.Config) Config {
 	return Config{
 		Machine:                machine,

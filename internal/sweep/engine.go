@@ -219,11 +219,20 @@ func (a *Artifacts) Matches(seed int64, scale float64, profileTraces, evalTraces
 		a.profileTraces == profileTraces && a.evalTraces == evalTraces
 }
 
+// validate applies ValidateBase to the cache's base parameters, so no
+// accessor generates (or serves a stored) degenerate artifact.
+func (a *Artifacts) validate() error {
+	return ValidateBase(a.scale, a.profileTraces, a.evalTraces)
+}
+
 // ProfileSet returns the workload's profiling window (the paper's "first
 // 1000" traces): shards [0, NumShards(profileTraces)) of the sharded trace
 // space, worker-count independent. The workload name resolves through the
 // workload-name registry (TPC benchmarks, "synth:" encoded names).
 func (a *Artifacts) ProfileSet(ctx context.Context, name string) (*trace.Set, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	v, err := a.cache.Do(ctx, "profset\x00"+name, a.setEntry("profset", name), func() (any, error) {
 		r, err := workload.Resolve(name)
 		if err != nil {
@@ -242,6 +251,9 @@ func (a *Artifacts) ProfileSet(ctx context.Context, name string) (*trace.Set, er
 // 1000"): the shards immediately after the profiling window, so the two
 // sets are disjoint by construction regardless of computation order.
 func (a *Artifacts) EvalSet(ctx context.Context, name string) (*trace.Set, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	v, err := a.cache.Do(ctx, "evalset\x00"+name, a.setEntry("evalset", name), func() (any, error) {
 		r, err := workload.Resolve(name)
 		if err != nil {
@@ -261,6 +273,9 @@ func (a *Artifacts) EvalSet(ctx context.Context, name string) (*trace.Set, error
 // machine's L1-I geometry, with the storage manager's no-migrate zones
 // applied (Section 3.1.3).
 func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*core.Profile, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	key := fmt.Sprintf("profile\x00%s\x00%d\x00%d", name, m.L1I.SizeBytes, m.L1I.Ways)
 	v, err := a.cache.Do(ctx, key, a.profileEntry(name, m), func() (any, error) {
 		set, err := a.ProfileSet(ctx, name)
@@ -306,27 +321,15 @@ func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
 // Run expands the spec and executes every unit on up to `workers`
 // goroutines (values below 1 run serially), streaming each unit's result to
 // the emitter in expansion order as soon as the unit (and every unit before
-// it) has finished. Output is byte-identical for every worker count: unit
-// execution order never affects content (deterministic simulation over
-// single-flight, order-free artifacts) and emission order is fixed by the
-// grid, not by completion.
-func Run(spec Spec, em Emitter, workers int) error {
-	return RunCtx(context.Background(), spec, em, workers)
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is cancelled no new
-// unit starts and no further row is emitted, and the call returns ctx's
-// error — the rows already streamed form a clean prefix of the full sweep.
-func RunCtx(ctx context.Context, spec Spec, em Emitter, workers int) error {
-	return RunWith(ctx, spec, em, workers, nil)
-}
-
-// RunWith is RunCtx over a caller-supplied artifact cache (nil builds a
-// fresh one from the spec) — the hook a long-lived session uses to share
-// one cache across repeated sweeps. A cache whose base parameters do not
-// Match the spec's resolved parameters is ignored (a fresh one is built),
-// so a mismatched cache can never silently substitute its own artifacts.
-func RunWith(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifacts) error {
+// it) has finished. Output is byte-identical for every worker count:
+// execution order never affects content and emission order is fixed by the
+// grid. Once ctx is cancelled no new unit starts, no further row is
+// emitted, and the call returns ctx's error; the rows already streamed
+// form a clean prefix. arts is a session's artifact cache to share across
+// repeated sweeps (nil, or one whose base does not Match the resolved
+// spec, builds a fresh one — a mismatched cache never substitutes its own
+// artifacts).
+func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifacts) error {
 	units, err := spec.Expand()
 	if err != nil {
 		return err
@@ -366,7 +369,7 @@ func RunWith(ctx context.Context, spec Spec, em Emitter, workers int, arts *Arti
 	// nobody will read.
 	var stopped atomic.Bool
 	stop := func(err error) error { stopped.Store(true); return err }
-	go pool.RunCtx(ctx, workers, len(units), func(i int) {
+	go pool.Run(ctx, workers, len(units), func(i int) {
 		defer close(done[i])
 		if stopped.Load() {
 			return

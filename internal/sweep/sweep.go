@@ -265,21 +265,32 @@ func (s Spec) Expand() ([]Unit, error) {
 	return s.ExpandOn(s.BaseMachine())
 }
 
+// ValidateBase rejects base parameters no run can use: a scale or trace
+// window that is not positive yields a degenerate workload whose metrics
+// look like real results. Spec validation and every artifact accessor
+// apply it, so a bad base is an error on every path, never a number.
+func ValidateBase(scale float64, profileTraces, evalTraces int) error {
+	// Positive phrasing so a NaN scale is rejected too.
+	if !(scale > 0) {
+		return fmt.Errorf("sweep: scale %v is not positive", scale)
+	}
+	if profileTraces <= 0 {
+		return fmt.Errorf("sweep: profile_traces %d is not positive", profileTraces)
+	}
+	if evalTraces <= 0 {
+		return fmt.Errorf("sweep: eval_traces %d is not positive", evalTraces)
+	}
+	return nil
+}
+
 // validate rejects values the downstream layers would otherwise silently
 // clamp or treat as "keep the base value": a 0 (or negative) in an explicit
-// machine axis is a spec mistake, not a request for the base machine, and a
-// negative scale or trace count would produce a degenerate near-empty
-// workload whose metrics look like real results. Called after withDefaults,
-// so zero base parameters have already been replaced.
+// machine axis is a spec mistake, not a request for the base machine. The
+// base parameters go through ValidateBase after withDefaults has replaced
+// the zero ones.
 func (s Spec) validate() error {
-	if s.Scale <= 0 {
-		return fmt.Errorf("sweep: scale %v is not positive", s.Scale)
-	}
-	if s.ProfileTraces <= 0 {
-		return fmt.Errorf("sweep: profile_traces %d is not positive", s.ProfileTraces)
-	}
-	if s.EvalTraces <= 0 {
-		return fmt.Errorf("sweep: eval_traces %d is not positive", s.EvalTraces)
+	if err := ValidateBase(s.Scale, s.ProfileTraces, s.EvalTraces); err != nil {
+		return err
 	}
 	pos := func(name string, vals []int) error {
 		for _, v := range vals {

@@ -104,6 +104,9 @@ func (w *Workbench) Profile(ctx context.Context, name string) (*core.Profile, er
 // (Replay): a session's (workload, mechanism) point is the default-load
 // sweep unit on the session machine.
 func (w *Workbench) Result(ctx context.Context, name string, mech sched.Mechanism) (sim.Result, error) {
+	if err := w.arts.validate(); err != nil {
+		return sim.Result{}, err
+	}
 	key := "result\x00" + w.machineSig + "\x00" + name + "\x00" + string(mech)
 	entry := w.arts.resultEntry(name, string(mech), w.machineSig)
 	v, err := w.arts.cache.Do(ctx, key, entry, func() (any, error) {

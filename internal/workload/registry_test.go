@@ -14,7 +14,8 @@ import (
 )
 
 // TestResolveTPCMatchesDirectPath: the registry's built-in TPC entries must
-// produce byte-identical sets to the direct sharded generator.
+// produce byte-identical sets to the sharded generator driven directly
+// with the TPC builder and the shard seed recipe.
 func TestResolveTPCMatchesDirectPath(t *testing.T) {
 	r, err := workload.Resolve("TPC-B")
 	if err != nil {
@@ -24,12 +25,18 @@ func TestResolveTPCMatchesDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := workload.GenerateSetSharded("TPC-B", 11, 0.05, 0, 30, workload.DefaultShardSize, 1)
+	build, err := workload.Builder("TPC-B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workload.GenerateSetShardedWith(context.Background(), func(shard int) *workload.Benchmark {
+		return build(workload.ShardSeed(11, shard), 0.05)
+	}, 0, 30, workload.DefaultShardSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Digest() != want.Digest() {
-		t.Error("registry TPC-B generation diverges from workload.GenerateSetSharded")
+		t.Error("registry TPC-B generation diverges from workload.GenerateSetShardedWith")
 	}
 }
 
@@ -49,7 +56,7 @@ func TestResolveSynthMatchesDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := synth.GenerateSetSharded(spec, 7, 0.02, 1, 20, workload.DefaultShardSize, 1)
+	want, err := synth.GenerateSetSharded(context.Background(), spec, 7, 0.02, 1, 20, workload.DefaultShardSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,8 @@ func TestResolveBuild(t *testing.T) {
 }
 
 // TestGenerateSetShardedWithCtxCancelled: a cancelled context must abort
-// generation with the context's error, not return a partial set.
+// GenerateSetShardedWith (reached through the registry) with the context's
+// error, not return a partial set.
 func TestGenerateSetShardedWithCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -86,39 +86,25 @@ func warmStart(b *Benchmark) *Benchmark {
 	return b
 }
 
-// shardBenchmark builds shard `shard`'s warm-started benchmark instance.
-func shardBenchmark(build func(int64, float64) *Benchmark, seed int64, scale float64, shard int) *Benchmark {
-	return warmStart(build(ShardSeed(seed, shard), scale))
-}
-
-// GenerateSetShardedWith is the generalized sharded generator every
-// by-name entry point (and the synthetic-workload compiler in
-// workload/synth) builds on: build constructs one shard's benchmark from
-// its absolute shard index, and this function applies the rest of the
-// shard recipe — ShardWarmup untraced transactions, counts[s] traced
-// transactions, merge in shard order. The result depends only on (build,
-// baseShard, n, shardSize), never on workers; build must itself be a pure
-// function of the shard index for the byte-identity guarantee to hold
-// (derive per-shard randomness from ShardSeed).
+// GenerateSetShardedWith is the sharded generator every registry entry
+// (the TPC builders and the synthetic-workload compiler in workload/synth)
+// builds on: build constructs one shard's benchmark from its absolute shard
+// index, and this function applies the rest of the shard recipe —
+// ShardWarmup untraced transactions, counts[s] traced transactions, merge
+// in shard order — on up to `workers` goroutines. The result depends only
+// on (build, baseShard, n, shardSize), never on workers, provided build is
+// a pure function of the shard index (derive per-shard randomness from
+// ShardSeed). Disjoint trace windows — the paper's "first 1000" vs "next
+// 1000" (Section 4.1) — are disjoint shard ranges via baseShard. Once ctx
+// is cancelled generation stops between shards (the cancellation
+// granularity of every trace pipeline) and the call returns ctx's error
+// instead of a partial set.
 //
 // shardSize <= 0 selects DefaultShardSize; workers < 1 runs serially.
-func GenerateSetShardedWith(build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) *trace.Set {
-	// Background context: this legacy entry point cannot be cancelled, so
-	// the error branch is unreachable.
-	s, _ := GenerateSetShardedWithCtx(context.Background(), build, baseShard, n, shardSize, workers)
-	return s
-}
-
-// GenerateSetShardedWithCtx is GenerateSetShardedWith with cooperative
-// cancellation: shard generation stops between shards once ctx is
-// cancelled, and the call returns ctx's error instead of a partial set. A
-// single shard (ShardWarmup untraced + up to shardSize traced
-// transactions) is the cancellation granularity of every trace-generation
-// pipeline.
-func GenerateSetShardedWithCtx(ctx context.Context, build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+func GenerateSetShardedWith(ctx context.Context, build func(shard int) *Benchmark, baseShard, n, shardSize, workers int) (*trace.Set, error) {
 	counts := shardCounts(n, shardSize)
 	parts := make([]*trace.Set, len(counts))
-	err := pool.RunCtx(ctx, workers, len(counts), func(s int) {
+	err := pool.Run(ctx, workers, len(counts), func(s int) {
 		b := warmStart(build(baseShard + s))
 		parts[s] = GenerateSet(b, counts[s])
 	})
@@ -128,40 +114,15 @@ func GenerateSetShardedWithCtx(ctx context.Context, build func(shard int) *Bench
 	return trace.MergeSets(parts...), nil
 }
 
-// GenerateSetSharded generates n traces of the named benchmark as
-// independent shards executed on up to `workers` goroutines, and merges
-// them in shard order. Shard s (counting from baseShard) populates its own
-// database and generates its traces with seed ShardSeed(seed, baseShard+s):
-// the result depends only on (name, seed, scale, baseShard, n, shardSize),
-// never on workers. Disjoint trace windows — the paper's "first 1000" vs
-// "next 1000" (Section 4.1) — are expressed as disjoint shard ranges via
-// baseShard.
-//
-// shardSize <= 0 selects DefaultShardSize; workers < 1 runs serially.
-func GenerateSetSharded(name string, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	build, err := Builder(name)
-	if err != nil {
-		return nil, err
-	}
-	return GenerateSetShardedWith(func(shard int) *Benchmark {
-		return build(ShardSeed(seed, shard), scale)
-	}, baseShard, n, shardSize, workers), nil
-}
-
-// StreamSharded generates n traces with exactly the same sharded recipe as
-// GenerateSetSharded but hands each trace to fn and discards it — the
-// memory-bounded path for the stability experiment (Section 4.2), which
-// replays 10x more traces than it could hold. Shards are processed
-// serially in shard order, so fn observes the same trace sequence the
-// merged set would contain.
-func StreamSharded(name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
-	return StreamShardedCtx(context.Background(), name, seed, scale, baseShard, n, shardSize, fn)
-}
-
-// StreamShardedCtx is StreamSharded with cooperative cancellation between
-// shards: once ctx is cancelled no further shard is generated and the call
-// returns ctx's error (fn has then seen a prefix of the stream).
-func StreamShardedCtx(ctx context.Context, name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
+// StreamSharded generates n traces of the named benchmark with exactly the
+// same sharded recipe as its registry generator but hands each trace to fn
+// and discards it — the memory-bounded path for the stability experiment
+// (Section 4.2), which replays 10x more traces than it could hold. Shards
+// are processed serially in shard order, so fn observes the same trace
+// sequence the merged set would contain. Once ctx is cancelled no further
+// shard is generated and the call returns ctx's error (fn has then seen a
+// prefix of the stream).
+func StreamSharded(ctx context.Context, name string, seed int64, scale float64, baseShard, n, shardSize int, fn func(i int, t *trace.Trace)) error {
 	build, err := Builder(name)
 	if err != nil {
 		return err
@@ -171,7 +132,7 @@ func StreamShardedCtx(ctx context.Context, name string, seed int64, scale float6
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b := shardBenchmark(build, seed, scale, baseShard+s)
+		b := warmStart(build(ShardSeed(seed, baseShard+s), scale))
 		Stream(b, count, func(_ int, t *trace.Trace) {
 			fn(idx, t)
 			idx++

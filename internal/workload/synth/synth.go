@@ -511,24 +511,16 @@ func (w *bench) scan(txn *storage.Txn, tbl *storage.Table, p phaseParams) {
 	w.m.IndexScan(txn, tbl.Index(0), lo, lo+uint64(w.spec.ScanLen)-1, true, true, w.spec.ScanLen)
 }
 
-// GenerateSetSharded generates n traces of the synthetic workload as
-// independent warm-started shards on up to `workers` goroutines, merged in
-// shard order — the synth counterpart of workload.GenerateSetSharded, with
-// the identical byte-identity contract: shard s draws its randomness from
-// workload.ShardSeed(seed, s) and populates its own database, and the
-// phase schedule follows the absolute trace index s*shardSize + i, so the
-// result depends only on (spec, seed, scale, baseShard, n, shardSize),
-// never on workers.
+// GenerateSetSharded generates n traces of the synthetic workload with
+// the TPC shard recipe (workload.GenerateSetShardedWith) and its
+// byte-identity contract: shard s draws its randomness from
+// workload.ShardSeed(seed, s) and the phase schedule follows the absolute
+// trace index s*shardSize + i, so the result never depends on workers.
+// Generation stops between shards once ctx is cancelled.
 //
 // shardSize <= 0 selects workload.DefaultShardSize; workers < 1 runs
 // serially.
-func GenerateSetSharded(spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
-	return GenerateSetShardedCtx(context.Background(), spec, seed, scale, baseShard, n, shardSize, workers)
-}
-
-// GenerateSetShardedCtx is GenerateSetSharded with cooperative cancellation
-// between shards (the same contract as workload.GenerateSetShardedWithCtx).
-func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
+func GenerateSetSharded(ctx context.Context, spec Spec, seed int64, scale float64, baseShard, n, shardSize, workers int) (*trace.Set, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -536,7 +528,7 @@ func GenerateSetShardedCtx(ctx context.Context, spec Spec, seed int64, scale flo
 	if shardSize <= 0 {
 		shardSize = workload.DefaultShardSize
 	}
-	return workload.GenerateSetShardedWithCtx(ctx, func(shard int) *workload.Benchmark {
+	return workload.GenerateSetShardedWith(ctx, func(shard int) *workload.Benchmark {
 		start := int64(shard)*int64(shardSize) - workload.ShardWarmup
 		b, err := newBench(spec, workload.ShardSeed(seed, shard), scale, start)
 		if err != nil {
