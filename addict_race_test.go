@@ -132,7 +132,7 @@ func TestGenerateTracesShardedWorkerIndependent(t *testing.T) {
 func TestConcurrentWorkbenchAndSchedule(t *testing.T) {
 	p := exp.Params{Seed: 5, Scale: 0.05, ProfileTraces: 50, EvalTraces: 50, StabilityTraces: 60, Machine: sim.Shallow()}
 	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 4)
-	wb := exp.NewWorkbenchOn(context.Background(), p, sweep.NewWorkbench(arts, p.Machine))
+	wb := exp.NewWorkbenchOn(context.Background(), p, arts)
 
 	w := addict.NewTPCE(7, 0.05)
 	profSet := addict.GenerateTraces(w, 50)

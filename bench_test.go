@@ -38,7 +38,7 @@ func bench(b *testing.B) *exp.Workbench {
 	if sharedBench == nil {
 		p := benchParams()
 		arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 1)
-		sharedBench = exp.NewWorkbenchOn(context.Background(), p, sweep.NewWorkbench(arts, p.Machine))
+		sharedBench = exp.NewWorkbenchOn(context.Background(), p, arts)
 	}
 	return sharedBench
 }
@@ -197,8 +197,7 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
 		arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
-		swb := sweep.NewWorkbench(arts, p.Machine)
-		if err := exp.RunAllParallel(context.Background(), io.Discard, p, workers, swb); err != nil {
+		if err := exp.RunAllParallel(context.Background(), io.Discard, p, workers, arts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -222,9 +222,12 @@ func TestMaxCellRegressGate(t *testing.T) {
 		t.Fatalf("%d per-cell speedups in JSON report, want %d", len(gated.SpeedupCells), 5*4+2)
 	}
 
-	// Fail case: inflate one non-reference cell of the baseline 4x. The
+	// Fail case: inflate one non-reference cell of the baseline 100x. The
 	// aggregate moves a little; the normalized ratio for that one cell
-	// drops to ~0.25 and the per-cell gate must fail on it.
+	// drops to ~0.01 and the per-cell gate must fail on it. The factor sits
+	// far above the timing noise of a -traces 8 run (un-bumped cells have
+	// been seen near 0.3x on a loaded 2-CPU machine), so the bumped cell is
+	// the worst one by construction.
 	raw, err := os.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +241,7 @@ func TestMaxCellRegressGate(t *testing.T) {
 	for _, c := range cells {
 		cell := c.(map[string]any)
 		if cell["mechanism"].(string) == "STREX" {
-			cell["events_per_sec"] = cell["events_per_sec"].(float64) * 4
+			cell["events_per_sec"] = cell["events_per_sec"].(float64) * 100
 			bumped = cell["workload"].(string) + "/STREX"
 			break
 		}
@@ -258,7 +261,7 @@ func TestMaxCellRegressGate(t *testing.T) {
 		"-traces", "8", "-scale", "0.05", "-max-cell-regress", "0.5")
 	outb, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("per-cell gate passed a 4x single-cell baseline inflation:\n%s", outb)
+		t.Fatalf("per-cell gate passed a 100x single-cell baseline inflation:\n%s", outb)
 	}
 	if !strings.Contains(string(outb), "performance regression") || !strings.Contains(string(outb), bumped) {
 		t.Errorf("failure output missing diagnosis of worst cell %s:\n%s", bumped, outb)

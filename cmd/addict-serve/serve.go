@@ -48,14 +48,14 @@ func badRequest(format string, args ...any) error {
 // weight-bounded LRU — coalescing identical concurrent requests AND
 // serving repeats from memory, since a session's answer for a given
 // request never changes. Bench requests are measurements, so they only
-// coalesce in flight (Flight + Forget): concurrent identical requests
-// share one run, but a later request measures afresh.
+// coalesce in flight: their LRU's budget fits no report, so concurrent
+// identical requests share one run, but a later request measures afresh.
 type server struct {
 	eng        *addict.Engine
 	slots      chan struct{} // admission tokens; nil = unlimited
 	retryAfter time.Duration
 	resp       *pool.LRU[[]byte]
-	bench      pool.Flight[*addict.BenchReport]
+	bench      *pool.LRU[*addict.BenchReport]
 
 	vars          *expvar.Map
 	reqs          *expvar.Map // per-endpoint requests received
@@ -84,6 +84,9 @@ func newServer(eng *addict.Engine, maxRuns int, retryAfter time.Duration, respBu
 		resp: pool.NewLRU[[]byte](respBudget, func(b []byte) int64 {
 			return int64(len(b)) + 128
 		}),
+		// Every report weighs more than the whole budget, so it is evicted
+		// as its run completes: waiters already on the run still receive it.
+		bench:         pool.NewLRU[*addict.BenchReport](1, func(*addict.BenchReport) int64 { return 2 }),
 		vars:          new(expvar.Map).Init(),
 		reqs:          new(expvar.Map).Init(),
 		comps:         new(expvar.Map).Init(),
@@ -478,9 +481,10 @@ func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 	}
 	key := "bench\x00" + string(canon)
 
-	// Coalesce in flight only: Forget after Do keeps bench a measurement
-	// (fresh per burst) rather than a memoized answer. The leader streams
-	// its progress lines; coalesced followers receive the report alone.
+	// Coalesce in flight only: the bench cache memoizes nothing, so bench
+	// stays a measurement (fresh per burst) rather than a memoized answer.
+	// The leader streams its progress lines; coalesced followers receive
+	// the report alone.
 	pw := &progressWriter{w: w}
 	led := false
 	report, err := s.bench.Do(r.Context(), key, func() (*addict.BenchReport, error) {
@@ -492,9 +496,6 @@ func (s *server) handleBench(w http.ResponseWriter, r *http.Request) {
 		s.comps.Add("bench", 1)
 		return s.eng.BenchProgress(r.Context(), cfg, pw)
 	})
-	if led {
-		s.bench.Forget(key)
-	}
 	if err != nil {
 		if led && pw.wrote {
 			// The stream already started; the error must travel in-band.

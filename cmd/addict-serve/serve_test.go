@@ -195,7 +195,7 @@ func TestBenchSynthStream(t *testing.T) {
 		t.Errorf("want >= 2 streamed progress lines, got %d: %v", len(progress), progress)
 	}
 	// A fresh identical request measures again (coalescing is in-flight
-	// only — Forget drops the memoized report).
+	// only — the bench cache memoizes no report).
 	m, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)

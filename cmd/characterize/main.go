@@ -7,7 +7,6 @@
 // Usage:
 //
 //	characterize                       # all three figures on fresh traces
-//	characterize -workload TPC-E       # overlap analysis of one workload
 //	characterize -traces 500 -scale 0.5
 //	characterize -synth                # mechanism rankings across presets
 package main
@@ -25,7 +24,6 @@ import (
 
 func main() {
 	var (
-		name   = flag.String("workload", "", "restrict Figure 2 to one benchmark (default: all)")
 		traces = flag.Int("traces", 1000, "traces per workload")
 		scale  = flag.Float64("scale", 1.0, "database scale factor")
 		seed   = flag.Int64("seed", 42, "workload seed")
@@ -52,13 +50,6 @@ func main() {
 		// trace counts in step with -traces.
 		p.EvalTraces = *traces
 		ids = []string{"synthchar"}
-	}
-	if *name != "" {
-		// Single-workload overlap only (fig2 covers all three otherwise).
-		if _, err := addict.NewWorkload(*name, *seed, 0.01); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 	eng := addict.NewEngine(addict.WithSeed(p.Seed), addict.WithScale(p.Scale),
 		addict.WithTraceWindows(p.ProfileTraces, p.EvalTraces, p.StabilityTraces),

@@ -47,7 +47,7 @@ type Engine struct {
 	storeDir        string
 	storeBudget     int64
 
-	wb       *sweep.Workbench
+	arts     *sweep.Artifacts
 	storeErr error
 }
 
@@ -130,17 +130,16 @@ func NewEngine(opts ...EngineOption) *Engine {
 	if e.stabilityTraces <= 0 {
 		e.stabilityTraces = 4 * e.evalTraces
 	}
-	arts := sweep.NewArtifacts(e.seed, e.scale, e.profileTraces, e.evalTraces, e.workers)
-	e.wb = sweep.NewWorkbench(arts, e.machine)
+	e.arts = sweep.NewArtifacts(e.seed, e.scale, e.profileTraces, e.evalTraces, e.workers)
 	if e.cacheBudget > 0 {
-		e.wb.Bound(e.cacheBudget)
+		e.arts.Bound(e.cacheBudget)
 	}
 	if e.storeDir != "" {
 		st, err := store.Open(e.storeDir, e.storeBudget)
 		if err != nil {
 			e.storeErr = err
 		} else {
-			arts.SetStore(st)
+			e.arts.SetStore(st)
 		}
 	}
 	return e
@@ -151,8 +150,8 @@ func NewEngine(opts ...EngineOption) *Engine {
 // on-disk store is attached — the store's hit/miss/verify-failure/GC
 // counters. The serving daemon exposes these via expvar.
 func (e *Engine) CacheStats() CacheStats {
-	cs := CacheStats{CacheStats: e.wb.CacheStats()}
-	if st, ok := e.wb.StoreStats(); ok {
+	cs := CacheStats{CacheStats: e.arts.CacheStats()}
+	if st, ok := e.arts.StoreStats(); ok {
 		cs.Store = &st
 	}
 	return cs
@@ -200,20 +199,20 @@ func (e *Engine) ExperimentParams() ExperimentParams {
 // same set. The name resolves through the workload registry: TPC names
 // ("TPC-B", "TPC-C", "TPC-E") and encoded synthetic names ("synth:...").
 func (e *Engine) Traces(ctx context.Context, workloadName string) (*TraceSet, error) {
-	return e.wb.EvalSet(ctx, workloadName)
+	return e.arts.EvalSet(ctx, workloadName)
 }
 
 // ProfilingTraces returns the session's profiling trace window (the
 // paper's "first 1000") — the disjoint window Profile learns from, cached.
 func (e *Engine) ProfilingTraces(ctx context.Context, workloadName string) (*TraceSet, error) {
-	return e.wb.ProfileSet(ctx, workloadName)
+	return e.arts.ProfileSet(ctx, workloadName)
 }
 
 // Profile returns Algorithm 1's migration points for a workload over the
 // session's profiling window and machine — cached per (workload, L1-I
 // geometry).
 func (e *Engine) Profile(ctx context.Context, workloadName string) (*Profile, error) {
-	return e.wb.Profile(ctx, workloadName)
+	return e.arts.Profile(ctx, workloadName, e.machine)
 }
 
 // Schedule replays the workload's evaluation window under a mechanism on
@@ -222,7 +221,7 @@ func (e *Engine) Profile(ctx context.Context, workloadName string) (*Profile, er
 // replay. ADDICT's migration-point profile is computed (and cached)
 // automatically.
 func (e *Engine) Schedule(ctx context.Context, mech Mechanism, workloadName string) (Result, error) {
-	return e.wb.Result(ctx, workloadName, mech)
+	return e.arts.Result(ctx, workloadName, mech, e.machine)
 }
 
 // ScheduleAll replays the workload's evaluation window under every
@@ -315,10 +314,10 @@ func (e *Engine) Sweep(ctx context.Context, out io.Writer, spec SweepSpec, forma
 // runs warm-start from disk. nil (the "let the runner make its own"
 // convention) only when there is neither a session match nor a store.
 func (e *Engine) artifactsFor(seed int64, scale float64, profileTraces, evalTraces int) *sweep.Artifacts {
-	if e.wb.Artifacts().Matches(seed, scale, profileTraces, evalTraces) {
-		return e.wb.Artifacts()
+	if e.arts.Matches(seed, scale, profileTraces, evalTraces) {
+		return e.arts
 	}
-	st := e.wb.Artifacts().Store()
+	st := e.arts.Store()
 	if st == nil {
 		return nil
 	}
@@ -427,10 +426,10 @@ func (e *Engine) Experiments(ctx context.Context, out io.Writer, ids ...string) 
 	}
 	p := e.ExperimentParams()
 	if len(ids) == 0 {
-		return exp.RunAllParallel(ctx, out, p, e.workers, e.wb)
+		return exp.RunAllParallel(ctx, out, p, e.workers, e.arts)
 	}
 	for _, id := range ids {
-		if err := exp.RunExperiment(ctx, id, out, p, e.wb); err != nil {
+		if err := exp.RunExperiment(ctx, id, out, p, e.arts); err != nil {
 			return err
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"addict/internal/sim"
 	"addict/internal/sweep"
 	"addict/internal/trace"
+	"addict/internal/workload"
 )
 
 // Config scopes one harness run.
@@ -182,12 +183,12 @@ var knownSchemas = map[string]bool{
 func Run(ctx context.Context, cfg Config, progress io.Writer, arts *sweep.Artifacts) (*Report, error) {
 	cfg = withDefaults(cfg)
 	for _, name := range cfg.Workloads {
-		if err := sweep.ValidateWorkloadName(name); err != nil {
+		if err := workload.Validate(name); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
 	for _, ec := range cfg.ExtraCells {
-		if err := sweep.ValidateWorkloadName(ec.Workload); err != nil {
+		if err := workload.Validate(ec.Workload); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}

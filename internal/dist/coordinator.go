@@ -162,15 +162,6 @@ func NewCoordinator(spec sweep.Spec, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	for _, u := range units {
-		if !seen[u.Workload] {
-			if err := sweep.ValidateWorkloadName(u.Workload); err != nil {
-				return nil, fmt.Errorf("dist: %w", err)
-			}
-			seen[u.Workload] = true
-		}
-	}
 	c := &Coordinator{
 		spec:      spec,
 		units:     units,

@@ -78,34 +78,34 @@ func QuickParams() Params {
 var Workloads = []string{"TPC-B", "TPC-C", "TPC-E"}
 
 // Workbench is the figure pipeline's view of the shared session cache
-// (sweep.Workbench): per-workload artifacts — profiling and evaluation
-// trace sets, the migration-point profile, per-mechanism replay results —
-// computed once (single-flight) no matter how many experiments request
-// them concurrently, with content independent of order, interleaving, and
-// worker count. The figure runners consume artifacts as plain values; on a
-// context-cancelled run the accessors unwind with an internal panic the
-// experiment entry points (RunAll, RunAllParallel, RunExperiment) recover
-// into an ordinary error, so a cancelled run renders nothing
-// half-computed.
+// (sweep.Artifacts) on the run's machine: per-workload artifacts —
+// profiling and evaluation trace sets, the migration-point profile,
+// per-mechanism replay results — computed once (single-flight) no matter
+// how many experiments request them concurrently, with content
+// independent of order, interleaving, and worker count. The figure
+// runners consume artifacts as plain values; on a context-cancelled run
+// the accessors unwind with an internal panic the experiment entry points
+// (RunAll, RunAllParallel, RunExperiment) recover into an ordinary error,
+// so a cancelled run renders nothing half-computed.
 type Workbench struct {
 	P      Params
 	Layout *codemap.Layout
 
-	ctx context.Context
-	wb  *sweep.Workbench
+	ctx  context.Context
+	arts *sweep.Artifacts
 }
 
-// NewWorkbenchOn wraps a session cache (sweep.Workbench) as an experiment
-// workbench — the hook the facade's Engine uses to run experiments over
-// the same artifacts its Schedule/Sweep/Bench calls already computed, and
-// the one workbench constructor. The caller must pass a cache built over
-// exactly p's seed, scale, trace windows, and machine.
-func NewWorkbenchOn(ctx context.Context, p Params, wb *sweep.Workbench) *Workbench {
+// NewWorkbenchOn wraps a session cache (sweep.Artifacts) as an experiment
+// workbench on p.Machine — the hook the facade's Engine uses to run
+// experiments over the same artifacts its Schedule/Sweep/Bench calls
+// already computed, and the one workbench constructor. The caller must
+// pass a cache built over exactly p's seed, scale, and trace windows.
+func NewWorkbenchOn(ctx context.Context, p Params, arts *sweep.Artifacts) *Workbench {
 	return &Workbench{
 		P:      p,
-		Layout: wb.Artifacts().Layout(),
+		Layout: arts.Layout(),
 		ctx:    ctx,
-		wb:     wb,
+		arts:   arts,
 	}
 }
 
@@ -142,7 +142,7 @@ func recoverCancel(errp *error) {
 // traces): shards [0, NumShards(ProfileTraces)) of the workload's sharded
 // trace space.
 func (w *Workbench) ProfileSet(name string) *trace.Set {
-	s, err := w.wb.ProfileSet(w.ctx, name)
+	s, err := w.arts.ProfileSet(w.ctx, name)
 	return take(w, s, err)
 }
 
@@ -150,14 +150,14 @@ func (w *Workbench) ProfileSet(name string) *trace.Set {
 // shards immediately after the profiling window, so the two sets are
 // disjoint by construction regardless of computation order.
 func (w *Workbench) EvalSet(name string) *trace.Set {
-	s, err := w.wb.EvalSet(w.ctx, name)
+	s, err := w.arts.EvalSet(w.ctx, name)
 	return take(w, s, err)
 }
 
 // Profile returns the workload's Algorithm 1 output over the profiling set,
 // with the storage manager's no-migrate zones applied (Section 3.1.3).
 func (w *Workbench) Profile(name string) *core.Profile {
-	p, err := w.wb.Profile(w.ctx, name)
+	p, err := w.arts.Profile(w.ctx, name, w.P.Machine)
 	return take(w, p, err)
 }
 
@@ -167,7 +167,7 @@ func (w *Workbench) Profile(name string) *core.Profile {
 // per-(workload, mechanism) point is the default-load sweep unit on the
 // run's machine.
 func (w *Workbench) Result(name string, mech sched.Mechanism) sim.Result {
-	r, err := w.wb.Result(w.ctx, name, mech)
+	r, err := w.arts.Result(w.ctx, name, mech, w.P.Machine)
 	return take(w, r, err)
 }
 

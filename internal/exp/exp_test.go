@@ -32,9 +32,8 @@ func testWorkbench(p Params, workers int) *Workbench {
 }
 
 // sessionCache builds a fresh session cache over p's base parameters.
-func sessionCache(p Params, workers int) *sweep.Workbench {
-	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
-	return sweep.NewWorkbench(arts, p.Machine)
+func sessionCache(p Params, workers int) *sweep.Artifacts {
+	return sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, workers)
 }
 
 func TestTable1Renders(t *testing.T) {

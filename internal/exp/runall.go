@@ -20,8 +20,7 @@ import (
 // between artifact computations and returns ctx's error; the sections
 // already written form a clean prefix of the report.
 func RunAll(ctx context.Context, out io.Writer, p Params) error {
-	arts := sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 1)
-	w := NewWorkbenchOn(ctx, p, sweep.NewWorkbench(arts, p.Machine))
+	w := NewWorkbenchOn(ctx, p, sweep.NewArtifacts(p.Seed, p.Scale, p.ProfileTraces, p.EvalTraces, 1))
 	for _, e := range experimentBodies {
 		if err := runBody(ctx, e.body, w, out); err != nil {
 			return err
@@ -48,9 +47,9 @@ func RunAll(ctx context.Context, out io.Writer, p Params) error {
 // section is emitted; in-flight units finish (a simulation replay is not
 // divisible) and the call returns ctx's error after the pool drains. The
 // sections already written form a clean prefix of the serial report.
-func RunAllParallel(ctx context.Context, out io.Writer, p Params, workers int, swb *sweep.Workbench) error {
+func RunAllParallel(ctx context.Context, out io.Writer, p Params, workers int, arts *sweep.Artifacts) error {
 	workers = pool.NormWorkers(workers)
-	w := NewWorkbenchOn(ctx, p, swb)
+	w := NewWorkbenchOn(ctx, p, arts)
 	fig4Workloads := []string{"TPC-B", "TPC-C"}
 	comparisons := make([]Comparison, len(Workloads))
 	deep := make([]Fig8aResult, len(Workloads))
@@ -254,10 +253,10 @@ func IDs() []string {
 // (see NewWorkbenchOn) — the facade Engine's single-experiment path. A
 // cancelled run stops between artifact computations and returns ctx's
 // error.
-func RunExperiment(ctx context.Context, id string, out io.Writer, p Params, swb *sweep.Workbench) error {
+func RunExperiment(ctx context.Context, id string, out io.Writer, p Params, arts *sweep.Artifacts) error {
 	for _, e := range experimentBodies {
 		if e.id == id {
-			return runBody(ctx, e.body, NewWorkbenchOn(ctx, p, swb), out)
+			return runBody(ctx, e.body, NewWorkbenchOn(ctx, p, arts), out)
 		}
 	}
 	return fmt.Errorf("exp: unknown experiment %q", id)

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -24,6 +25,11 @@ type CacheStats struct {
 	Bytes int64 `json:"bytes"`
 }
 
+// errFlightPanic marks a cell whose computation panicked: the panic
+// propagates to the leader's caller, while waiters observe a failed cell
+// (evicted, retryable) instead of blocking forever.
+var errFlightPanic = errors.New("pool: flight computation panicked")
+
 // lruCell is one in-flight or resident LRU computation. After done is
 // closed, val/err/weight are immutable; prev/next/resident are guarded by
 // the owning cache's mutex.
@@ -37,22 +43,27 @@ type lruCell[V any] struct {
 	resident   bool
 }
 
-// LRU is Flight with a weight budget: a concurrency-safe, single-flight
-// memoization cache that evicts least-recently-used entries once the
-// resident weight exceeds the budget. It keeps Flight's contract — one
-// computation per key no matter how many concurrent callers, failed or
-// cancelled computations evicted rather than cached, waiters retrying with
-// their own contexts — and adds bounded residency: every completed value
-// is weighed, and the least-recently-used completed entries are dropped
-// until the total fits. In-flight computations are never evicted (a live
-// key is never computed twice), and eviction never corrupts a value a
-// caller is about to receive — an evicted entry's value still returns to
-// every caller already waiting on it; only later callers recompute.
+// LRU is a concurrency-safe, single-flight memoization cache with a
+// weight budget. The first caller of a key (the leader) runs the
+// computation while later callers block until it is ready, so a live key
+// is computed once no matter how many concurrent callers. A computation
+// that returns an error is NOT cached — the key is evicted, and each
+// waiter whose own context is still live retries (possibly becoming the
+// new leader) rather than inheriting the leader's error, so one cancelled
+// request neither poisons a long-lived session's cache nor fails the
+// concurrent requests that were not cancelled.
 //
-// A budget <= 0 means unbounded, which makes LRU behave exactly like
-// Flight plus statistics — the artifact caches (sweep.Artifacts,
-// sweep.Workbench) run unbounded by default and are bounded by serving
-// deployments (Engine WithCacheBudget, addict-serve -cache-budget).
+// Residency is bounded: every completed value is weighed, and the
+// least-recently-used completed entries are dropped until the total fits
+// the budget. In-flight computations are never evicted, and eviction never
+// corrupts a value a caller is about to receive — an evicted entry's value
+// still returns to every caller already waiting on it; only later callers
+// recompute. A budget <= 0 means unbounded (memoize everything): the
+// session artifact cache (sweep.Artifacts) runs unbounded by default and
+// is bounded by serving deployments (Engine WithCacheBudget, addict-serve
+// -cache-budget). A budget no entry fits coalesces concurrent callers
+// without memoizing anything, since each value is evicted as soon as its
+// computation completes — the bench endpoint of addict-serve uses that.
 type LRU[V any] struct {
 	mu         sync.Mutex
 	budget     int64
@@ -101,10 +112,15 @@ func (l *LRU[V]) Stats() CacheStats {
 }
 
 // Do returns the cached value for key, computing it with fn on a miss.
-// The contract matches Flight.Do — single-flight per key, ctx stops the
-// wait on another caller's computation, errors are evicted and retried by
-// live waiters, a panic in fn propagates to the leader — plus recency:
-// a hit moves the entry to the front of the eviction order.
+// fn should observe ctx (cancellation between its own work items) and
+// return ctx's error when cancelled; Do itself uses ctx to stop waiting on
+// another caller's computation and to decide whether a failed shared
+// computation is worth retrying, so a cancelled waiter returns promptly
+// even while an unrelated leader keeps computing. A panic inside fn
+// propagates to the leader's caller; waiters see the key evicted and
+// retry, re-encountering the panic in their own call stacks (fail-fast,
+// never a deadlock). A hit moves the entry to the front of the eviction
+// order.
 func (l *LRU[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
 	for {
 		l.mu.Lock()
@@ -154,7 +170,7 @@ func (l *LRU[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, e
 // lead runs the computation as key's leader, then publishes the outcome:
 // success inserts the weighed value at the front of the recency list and
 // evicts down to budget; failure (or a panic in fn) evicts the cell so the
-// key is retryable. Mirrors Flight.lead.
+// key is retryable.
 func (l *LRU[V]) lead(c *lruCell[V], fn func() (V, error)) {
 	completed := false
 	defer func() {

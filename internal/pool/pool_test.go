@@ -92,8 +92,11 @@ func TestNormWorkers(t *testing.T) {
 	}
 }
 
+// The TestFlight* tests pin the single-flight contract of an unbounded
+// LRU: one computation per live key, failures evicted and retried, waiters
+// governed by their own contexts.
 func TestFlightSingleFlight(t *testing.T) {
-	var f Flight[int]
+	f := NewLRU[int](0, nil)
 	var calls int32
 	const goroutines = 16
 	results := make([]int, goroutines)
@@ -125,7 +128,7 @@ func TestFlightSingleFlight(t *testing.T) {
 }
 
 func TestFlightErrorEvictsAndRetries(t *testing.T) {
-	var f Flight[string]
+	f := NewLRU[string](0, nil)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	if _, err := f.Do(ctx, "k", func() (string, error) { return "", boom }); err != boom {
@@ -146,7 +149,7 @@ func TestFlightErrorEvictsAndRetries(t *testing.T) {
 // context is live must not inherit the leader's cancellation — it retries
 // and computes the value itself.
 func TestFlightWaiterRetriesAfterLeaderCancellation(t *testing.T) {
-	var f Flight[int]
+	f := NewLRU[int](0, nil)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	entered := make(chan struct{})
 
@@ -191,7 +194,7 @@ func TestFlightWaiterRetriesAfterLeaderCancellation(t *testing.T) {
 // leave waiters blocked forever (the OnceMap regression the error path
 // introduced); the waiter retries and succeeds.
 func TestFlightLeaderPanicUnblocksWaiters(t *testing.T) {
-	var f Flight[int]
+	f := NewLRU[int](0, nil)
 	entered := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -230,7 +233,7 @@ func TestFlightLeaderPanicUnblocksWaiters(t *testing.T) {
 // TestFlightWaiterCancelsPromptly: a waiter whose context dies must return
 // immediately, not block until the unrelated leader finishes.
 func TestFlightWaiterCancelsPromptly(t *testing.T) {
-	var f Flight[int]
+	f := NewLRU[int](0, nil)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go func() {

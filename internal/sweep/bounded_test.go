@@ -10,17 +10,17 @@ import (
 	"addict/internal/sim"
 )
 
-// TestWorkbenchBoundedStress hammers a weight-bounded Workbench from many
-// goroutines (run it under -race): a tiny budget forces artifact eviction
-// and regeneration mid-traffic, yet every Result must equal the unbounded
-// reference — eviction changes residency, never content — and the eviction
-// counter must only grow.
+// TestWorkbenchBoundedStress hammers a weight-bounded session cache's
+// Result from many goroutines (run it under -race): a tiny budget forces
+// artifact eviction and regeneration mid-traffic, yet every Result must
+// equal the unbounded reference — eviction changes residency, never
+// content — and the eviction counter must only grow.
 func TestWorkbenchBoundedStress(t *testing.T) {
 	ctx := context.Background()
 	names := []string{"synth:uniform-ro", "synth:hotset-write"}
 
 	// Reference values from an unbounded session.
-	refWB := NewWorkbench(NewArtifacts(5, 0.02, 20, 20, 2), sim.Shallow())
+	refArts := NewArtifacts(5, 0.02, 20, 20, 2)
 	type pair struct {
 		name string
 		mech sched.Mechanism
@@ -30,7 +30,7 @@ func TestWorkbenchBoundedStress(t *testing.T) {
 	for _, name := range names {
 		for _, mech := range sched.Mechanisms {
 			p := pair{name, mech}
-			r, err := refWB.Result(ctx, p.name, p.mech)
+			r, err := refArts.Result(ctx, p.name, p.mech, sim.Shallow())
 			if err != nil {
 				t.Fatalf("reference %v: %v", p, err)
 			}
@@ -42,8 +42,8 @@ func TestWorkbenchBoundedStress(t *testing.T) {
 	// Fresh session with a budget far below the working set (the trace
 	// windows alone exceed 64KiB), so the stress loop keeps evicting and
 	// regenerating artifacts while other goroutines read them.
-	wb := NewWorkbench(NewArtifacts(5, 0.02, 20, 20, 2), sim.Shallow())
-	wb.Bound(64 << 10)
+	arts := NewArtifacts(5, 0.02, 20, 20, 2)
+	arts.Bound(64 << 10)
 
 	stop := make(chan struct{})
 	var monitor sync.WaitGroup
@@ -57,7 +57,7 @@ func TestWorkbenchBoundedStress(t *testing.T) {
 				return
 			default:
 			}
-			if ev := wb.CacheStats().Evictions; ev < last {
+			if ev := arts.CacheStats().Evictions; ev < last {
 				t.Errorf("eviction counter went backwards: %d then %d", last, ev)
 				return
 			} else {
@@ -76,7 +76,7 @@ func TestWorkbenchBoundedStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				for i := range pairs {
 					p := pairs[(i+w*3)%len(pairs)] // offset per worker: maximal interleaving
-					got, err := wb.Result(ctx, p.name, p.mech)
+					got, err := arts.Result(ctx, p.name, p.mech, sim.Shallow())
 					if err != nil {
 						t.Errorf("worker %d %v: %v", w, p, err)
 						return
@@ -93,7 +93,7 @@ func TestWorkbenchBoundedStress(t *testing.T) {
 	close(stop)
 	monitor.Wait()
 
-	st := wb.CacheStats()
+	st := arts.CacheStats()
 	if st.Evictions == 0 {
 		t.Errorf("a 64KiB budget never evicted under stress: %+v", st)
 	}

@@ -16,14 +16,6 @@ import (
 	"addict/internal/workload"
 )
 
-// ValidateWorkloadName rejects names the workload-name registry does not
-// resolve — neither a TPC benchmark nor a registered backend (encoded
-// synthetic workloads). Kept as the sweep-flavored wrapper over
-// workload.Validate, the one registry every by-name consumer shares.
-func ValidateWorkloadName(name string) error {
-	return workload.Validate(name)
-}
-
 // Metrics are the per-unit outcomes every emitter reports. All values are
 // raw (not normalized): normalization needs a baseline point, and which
 // point that is belongs to the analysis over the emitted rows, not to the
@@ -108,8 +100,8 @@ type Artifacts struct {
 	workers int
 	layout  *codemap.Layout
 
-	// cache holds every artifact kind — trace windows, profiles, and the
-	// Workbench's replay results — in one weight-accounted LRU, so a
+	// cache holds every artifact kind — trace windows, profiles, and
+	// Result's replay results — in one weight-accounted LRU, so a
 	// residency budget covers the whole session instead of per-kind pools.
 	// Keys are kind-prefixed ("profset", "evalset", "profile", "result");
 	// values are weighed by artifactWeight. Unbounded by default (every
@@ -291,27 +283,55 @@ func (a *Artifacts) Profile(ctx context.Context, name string, m sim.Config) (*co
 	return v.(*core.Profile), nil
 }
 
-// RunUnit executes one unit over the artifact cache and reduces the result
-// to metrics. Only ADDICT consults the migration-point profile, so other
-// mechanisms skip Algorithm 1 entirely. This is the single per-unit
-// execution path: the in-process engine (Run) and the distributed workers
-// (internal/dist) both call it, which is what makes a re-dispatched unit a
-// deterministic recomputation — or, with a shared store attached, a cache
-// hit — instead of a divergent answer.
-func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
+// Result replays the workload's evaluation window under a mechanism at
+// the default load point on machine m, caching the outcome per (machine,
+// workload, mechanism): repeated Engine.Schedule calls, and the figures
+// sharing a replay (Figures 5, 6, 8b, 9), all hit this entry. The point is
+// the default-load sweep unit, replayed through the same path as RunUnit.
+// Several machines may share one cache, so the key carries the machine's
+// signature (machineSig).
+func (a *Artifacts) Result(ctx context.Context, name string, mech sched.Mechanism, m sim.Config) (sim.Result, error) {
+	if err := a.validate(); err != nil {
+		return sim.Result{}, err
+	}
+	sig := machineSig(m)
+	key := "result\x00" + sig + "\x00" + name + "\x00" + string(mech)
+	v, err := a.cache.Do(ctx, key, a.resultEntry(name, string(mech), sig), func() (any, error) {
+		return a.replay(ctx, NewUnit(name, mech, m, 0, 0))
+	})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return v.(sim.Result), nil
+}
+
+// replay executes one unit over the cached trace windows and profiles.
+// Only ADDICT consults the migration-point profile, so other mechanisms
+// skip Algorithm 1 entirely.
+func (a *Artifacts) replay(ctx context.Context, u Unit) (sim.Result, error) {
 	var prof *core.Profile
 	if u.Mechanism == sched.ADDICT {
 		p, err := a.Profile(ctx, u.Workload, u.Machine)
 		if err != nil {
-			return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
+			return sim.Result{}, err
 		}
 		prof = p
 	}
 	set, err := a.EvalSet(ctx, u.Workload)
 	if err != nil {
-		return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
+		return sim.Result{}, err
 	}
-	r, err := Replay(u, set, prof)
+	return Replay(u, set, prof)
+}
+
+// RunUnit executes one unit over the artifact cache and reduces the result
+// to metrics. This is the single per-unit execution path: the in-process
+// engine (Run) and the distributed workers (internal/dist) both call it,
+// which is what makes a re-dispatched unit a deterministic recomputation
+// instead of a divergent answer. The unit's replay itself is never cached
+// (its trace windows and profile are), so every run measures it afresh.
+func RunUnit(ctx context.Context, a *Artifacts, u Unit) (Metrics, error) {
+	r, err := a.replay(ctx, u)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("sweep: %s: %w", u.ID, err)
 	}
@@ -334,17 +354,6 @@ func Run(ctx context.Context, spec Spec, em Emitter, workers int, arts *Artifact
 	if err != nil {
 		return err
 	}
-	// Validate workload names before spending any cycles.
-	seen := map[string]bool{}
-	for _, u := range units {
-		if !seen[u.Workload] {
-			if err := ValidateWorkloadName(u.Workload); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			seen[u.Workload] = true
-		}
-	}
-
 	if workers < 1 {
 		workers = 1
 	}

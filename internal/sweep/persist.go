@@ -56,6 +56,19 @@ func (a *Artifacts) profileEntry(name string, m sim.Config) store.Entry {
 	}
 }
 
+// machineSig renders a machine configuration as a stable cache-key
+// component: identical configurations produce identical signatures. The
+// PrivateL2 pointer is flattened to its value so the signature never
+// embeds a heap address.
+func machineSig(m sim.Config) string {
+	var l2 cache.Config
+	if m.PrivateL2 != nil {
+		l2 = *m.PrivateL2
+	}
+	m.PrivateL2 = nil
+	return fmt.Sprintf("%+v|%+v", m, l2)
+}
+
 // resultEntry is the on-disk identity of a replay result: the evaluation
 // window plus the full machine signature and mechanism.
 func (a *Artifacts) resultEntry(name, mech, machineSig string) store.Entry {

@@ -129,19 +129,19 @@ func TestPersistResultWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	const name = "synth:uniform-ro"
 
-	cold := NewWorkbench(newStoredArtifacts(t, dir), sim.Shallow())
-	want, err := cold.Result(ctx, name, sched.ADDICT)
+	cold := newStoredArtifacts(t, dir)
+	want, err := cold.Result(ctx, name, sched.ADDICT, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm := NewWorkbench(newStoredArtifacts(t, dir), sim.Shallow())
-	hitsBefore := warm.Artifacts().Store().Stats().Hits
-	got, err := warm.Result(ctx, name, sched.ADDICT)
+	warm := newStoredArtifacts(t, dir)
+	hitsBefore := warm.Store().Stats().Hits
+	got, err := warm.Result(ctx, name, sched.ADDICT, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := warm.Artifacts().Store().Stats().Hits; hits <= hitsBefore {
+	if hits := warm.Store().Stats().Hits; hits <= hitsBefore {
 		t.Fatal("warm result did not read from disk")
 	}
 
@@ -167,13 +167,11 @@ func TestPersistResultDistinctMachines(t *testing.T) {
 	const name = "synth:uniform-ro"
 
 	arts := newStoredArtifacts(t, dir)
-	shallow := NewWorkbench(arts, sim.Shallow())
-	deep := NewWorkbench(arts, sim.Deep())
-	rs, err := shallow.Result(ctx, name, sched.Baseline)
+	rs, err := arts.Result(ctx, name, sched.Baseline, sim.Shallow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := deep.Result(ctx, name, sched.Baseline)
+	rd, err := arts.Result(ctx, name, sched.Baseline, sim.Deep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +179,9 @@ func TestPersistResultDistinctMachines(t *testing.T) {
 		t.Skip("machines produced identical makespans; signature test is vacuous")
 	}
 
-	// A warm workbench on the deep machine must get the deep result.
-	warm := NewWorkbench(newStoredArtifacts(t, dir), sim.Deep())
-	got, err := warm.Result(ctx, name, sched.Baseline)
+	// A warm cache asked for the deep machine must get the deep result.
+	warm := newStoredArtifacts(t, dir)
+	got, err := warm.Result(ctx, name, sched.Baseline, sim.Deep())
 	if err != nil {
 		t.Fatal(err)
 	}

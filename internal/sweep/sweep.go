@@ -23,6 +23,7 @@ import (
 
 	"addict/internal/sched"
 	"addict/internal/sim"
+	"addict/internal/workload"
 	"addict/internal/workload/synth"
 )
 
@@ -258,9 +259,10 @@ func orZero[T any](axis []T) []T {
 // threads, admit (innermost). The workload axis is the explicit Workloads
 // followed by the synthetic-preset variants (theta outermost, write
 // fraction, hot-set size innermost). The order is part of the contract: it
-// decides the emission order of every run over the same spec. Machine
-// overrides are validated at expansion, so an unbuildable grid point fails
-// here instead of mid-run.
+// decides the emission order of every run over the same spec. Workload
+// names (through the workload-name registry) and machine overrides are
+// validated at expansion, so an unknown workload or an unbuildable grid
+// point fails here instead of mid-run.
 func (s Spec) Expand() ([]Unit, error) {
 	return s.ExpandOn(s.BaseMachine())
 }
@@ -359,6 +361,9 @@ func (s Spec) ExpandOn(base sim.Config) ([]Unit, error) {
 	workloads := append(append([]string{}, s.Workloads...), synthNames...)
 	var units []Unit
 	for _, w := range workloads {
+		if err := workload.Validate(w); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
 		for _, mechName := range s.Mechanisms {
 			mech, err := mechanismByName(mechName)
 			if err != nil {

@@ -203,6 +203,14 @@ func TestExpandRejectsBadGrid(t *testing.T) {
 	if _, err := (Spec{Mechanisms: []string{"FANCY"}}).Expand(); err == nil {
 		t.Error("unknown mechanism not rejected")
 	}
+	// Workload names resolve at expansion, so sweep.Run and the
+	// distributed coordinator refuse them before any unit runs.
+	if _, err := (Spec{Workloads: []string{"TPC-B", "TPC-Z"}}).Expand(); err == nil {
+		t.Error("unknown workload not rejected")
+	}
+	if _, err := (Spec{Workloads: []string{"synth:no-such-preset"}}).Expand(); err == nil {
+		t.Error("unknown encoded synthetic workload not rejected")
+	}
 	if _, err := (Spec{L1ISizes: []int{33 << 10}}).Expand(); err == nil {
 		t.Error("non-power-of-two L1-I size not rejected")
 	}
